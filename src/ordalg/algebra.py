@@ -16,7 +16,6 @@ STAR = "*"
 CIRC = "∘"
 ZERO = "0"
 ONE = "1"
-DOUBLE_STAR = "**"
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,22 @@
 
 Partitions are canonicalized as block-leader tuples (every element maps to
 the least element of its block), so congruence equality is plain tuple
-equality.  The lattice is generated by closing the principal congruences
-under pairwise joins; an exhaustive partition scan doubles as a secondary
-oracle under a size guard.
+equality.
+
+One union-find, ``_close``, serves every closure: a join merges the pairs of
+two partitions, and a principal congruence Cg(a, b) merges (a, b) and then
+the images of each merged pair under the basic translations, precomputed
+once per algebra.  Generation computes Cg(a, b) for every a < b in order and
+keeps each result, so a later run merges a pair whose principal congruence
+is already known block by block instead of queueing its translations.  A
+worklist then joins each new congruence with the distinct principal
+congruences only, since every congruence is a join of principal ones.  An
+exhaustive partition scan doubles as a secondary oracle under a size guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import CIRC, JOIN, MEET, ONE, STAR, Algebra
@@ -155,54 +162,88 @@ def is_congruence(A: Algebra, partition) -> tuple[bool, dict | None]:
     return True, None
 
 
-def principal_congruence(A: Algebra, a: int, b: int) -> Congruence:
-    """Least congruence collapsing (a, b): merge, then close under the
-    one-variable translations of every operation until a fixpoint."""
-    n = A.n
-    parent = list(range(n))
+def _translation_images(A: Algebra) -> tuple[tuple[int, ...], ...]:
+    """Per element x: x's images under every basic translation, as one tuple.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A unary table contributes t[x]; a binary table contributes its row t[x]
+    and, unless the whole table is commutative, its column t[·][x].  The
+    images of any two elements line up index by index, so the translations
+    of a pair (x, y) are ``zip(images[x], images[y])``.
+    """
+    images: list[list[int]] = [[] for _ in range(A.n)]
+    for (_, arity), t in zip(A.signature.symbols, A.tables):
+        if arity == 1:
+            for x, image in enumerate(images):
+                image.append(t[x])
+        elif arity == 2:
+            cols = tuple(zip(*t))
+            commutative = cols == t
+            for x, image in enumerate(images):
+                image.extend(t[x])
+                if not commutative:
+                    image.extend(cols[x])
+    return tuple(tuple(image) for image in images)
 
-    binaries = [t for (nm, ar), t in zip(A.signature.symbols, A.tables) if ar == 2]
-    unaries = [t for (nm, ar), t in zip(A.signature.symbols, A.tables) if ar == 1]
-    work = [(a, b)]
+
+def _close(
+    n: int,
+    work: list[tuple[int, int]],
+    images: Sequence[Sequence[int]] | None = None,
+    known: dict[tuple[int, int], tuple[tuple[int, ...], ...]] | None = None,
+) -> tuple[int, ...]:
+    """The union-find: merge every pair on ``work``; return the rep tuple.
+
+    Each class is labelled by its least element and keeps a member list, so
+    a lookup is one index and a merge relabels the class with the larger
+    label.  With ``images`` (see ``_translation_images``) each merge of
+    (x, y) queues the distinct translations of the pair, so the result is
+    the least congruence holding the work pairs (whatever the pop order).
+    ``known`` maps pairs x < y to the nonsingleton blocks of Cg(x, y); such
+    a merge unites those blocks instead, which is enough because Cg(x, y)
+    is closed under translations and lies inside every congruence relating
+    x and y.
+    """
+    rep = list(range(n))
+    members = [[i] for i in range(n)]
+
+    def union(rx: int, ry: int) -> None:
+        if ry < rx:
+            rx, ry = ry, rx
+        moved = members[ry]
+        for e in moved:
+            rep[e] = rx
+        members[rx] += moved
+
     while work:
         x, y = work.pop()
-        rx, ry = find(x), find(y)
+        rx, ry = rep[x], rep[y]
         if rx == ry:
             continue
-        parent[max(rx, ry)] = min(rx, ry)
-        for t in unaries:
-            work.append((t[x], t[y]))
-        for t in binaries:
-            tx, ty = t[x], t[y]
-            for c in range(n):
-                work.append((tx[c], ty[c]))
-                work.append((t[c][x], t[c][y]))
-    return Congruence(tuple(find(i) for i in range(n)))
+        union(rx, ry)
+        if images is None:
+            continue
+        blocks = known.get((x, y) if x < y else (y, x)) if known else None
+        if blocks is None:
+            work.extend(set(zip(images[x], images[y])))
+            continue
+        for first, *rest in blocks:
+            for e in rest:
+                if rep[e] != rep[first]:
+                    union(rep[e], rep[first])
+    return tuple(rep)
+
+
+def principal_congruence(A: Algebra, a: int, b: int) -> Congruence:
+    """Least congruence collapsing (a, b): one ``_close`` run from the pair,
+    each merge queueing the merged pair's images under every basic
+    translation (``_translation_images``) until a fixpoint.  Generation
+    calls ``_close`` itself, with its memo of known principal congruences."""
+    return Congruence(_close(A.n, [(a, b)], _translation_images(A)))
 
 
 def join2(c1: Congruence, c2: Congruence) -> Congruence:
     """Join = transitive closure of the union (itself a congruence)."""
-    n = c1.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in (c1, c2):
-        for i in range(n):
-            ri, rr = find(i), find(c.rep[i])
-            if ri != rr:
-                parent[max(ri, rr)] = min(ri, rr)
-    return Congruence(tuple(find(i) for i in range(n)))
+    return Congruence(_close(c1.n, [*enumerate(c1.rep), *enumerate(c2.rep)]))
 
 
 def meet2(c1: Congruence, c2: Congruence) -> Congruence:
@@ -247,20 +288,34 @@ class CongruenceLattice:
 
 
 def _generate_congruences(A: Algebra) -> list[Congruence]:
+    """Every congruence of A, sorted by ``rep``.
+
+    Cg(a, b) is computed for a < b in order, each by one ``_close`` run that
+    reuses the principal congruences already known.  Every congruence is a
+    join of principal ones (R. Freese, "Computing congruences efficiently",
+    2008), so a worklist joins each new congruence with each distinct
+    principal congruence it does not already contain.
+    """
     n = A.n
-    found: set[Congruence] = {Congruence.identity(n)}
+    images = _translation_images(A)
+    known: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    principals: dict[Congruence, tuple[int, int]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            found.add(principal_congruence(A, a, b))
-    added = True
-    while added:
-        added = False
-        snapshot = list(found)
-        for c1, c2 in combinations(snapshot, 2):
-            j = join2(c1, c2)
+            cg = Congruence(_close(n, [(a, b)], images, known))
+            known[a, b] = tuple(block for block in cg.blocks() if len(block) > 1)
+            principals.setdefault(cg, (a, b))
+    found = {Congruence.identity(n), *principals}
+    work = list(principals)
+    while work:
+        c = work.pop()
+        for p, (a, b) in principals.items():
+            if c.rep[a] == c.rep[b]:  # Cg(a, b) is already below c
+                continue
+            j = join2(c, p)
             if j not in found:
                 found.add(j)
-                added = True
+                work.append(j)
     return sorted(found, key=lambda c: c.rep)
 
 
@@ -299,10 +354,10 @@ def congruence_lattice(
 ) -> CongruenceLattice:
     """All congruences with join/meet tables and the Hasse relation.
 
-    Generation closes principal congruences under pairwise joins.  With
-    ``validate`` the partition-scan oracle cross-checks completeness; when the
-    carrier exceeds the guard the validation is skipped and flagged instead of
-    raising, so generation still runs.
+    Generation joins principal congruences (see ``_generate_congruences``).
+    With ``validate`` the partition-scan oracle cross-checks completeness;
+    when the carrier exceeds the guard the validation is skipped and flagged
+    instead of raising, so generation still runs.
     """
     cons = _generate_congruences(A)
     validated = False

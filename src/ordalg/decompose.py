@@ -95,7 +95,6 @@ class FactorPair:
     phi: Congruence
 
     def __post_init__(self):
-        n = self.theta.n
         if not join2(self.theta, self.phi).is_total:
             raise ValueError("factor pair must join to the total congruence")
         if not meet2(self.theta, self.phi).is_identity:
@@ -125,13 +124,13 @@ def factor_pairs(A: Algebra, lattice: CongruenceLattice | None = None) -> tuple[
     for i in range(len(cons)):
         for j in range(i, len(cons)):
             t, p = cons[i], cons[j]
-            if not join2(t, p).is_total or not meet2(t, p).is_identity:
-                continue
-            if compose_masks(t, p) != compose_masks(p, t):
-                continue
             if (-p.num_blocks, p.rep) < (-t.num_blocks, t.rep):
                 t, p = p, t
-            out.append(FactorPair(t, p))
+            try:
+                fp = FactorPair(t, p)  # its constructor is the only check
+            except ValueError:
+                continue
+            out.append(fp)
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bounded_posets, lambda_algebra, meet_directoid
 from ordalg import (
@@ -168,6 +169,43 @@ def test_term_schemes_missing_symbol():
     A = Algebra(["a"], [("f", 1, [0])])
     with pytest.raises(MissingSymbol):
         verify_term_conditions(A, "stone")
+
+
+@st.composite
+def small_algebras(draw):
+    """Algebras on at most 6 elements with any of: a unary operation, a
+    binary operation drawn cell by cell, and a commutative binary operation
+    drawn on the upper triangle and mirrored."""
+    n = draw(st.integers(1, 6))
+    elem = st.integers(0, n - 1)
+    row = st.lists(elem, min_size=n, max_size=n)
+    ops = []
+    if draw(st.booleans()):
+        ops.append(("f", 1, draw(row)))
+    if draw(st.booleans()):
+        ops.append(("g", 2, draw(st.lists(row, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        upper = {(i, j): draw(elem) for i in range(n) for j in range(i, n)}
+        ops.append(("h", 2, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]))
+    return Algebra([str(i) for i in range(n)], ops)
+
+
+@given(small_algebras())
+@settings(max_examples=150, deadline=None)
+def test_generation_matches_partition_scan(A):
+    brute = all_congruences_bruteforce(A)
+    assert congruence_lattice(A).congruences == brute
+    for a in range(A.n):
+        for b in range(a, A.n):
+            cg = principal_congruence(A, a, b)
+            assert cg in brute and cg.related(a, b)
+            assert all(cg.refines(t) for t in brute if t.related(a, b))
+
+
+def test_projection_algebra_has_every_partition():
+    # x∘y = y: every partition of 6 elements is a congruence, Bell(6) = 203
+    A = Algebra([str(i) for i in range(6)], [("∘", 2, [list(range(6))] * 6)])
+    assert len(congruence_lattice(A, validate=True)) == 203
 
 
 @given(bounded_posets(max_inner=2))
