@@ -405,12 +405,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", required=True, choices=list(PROFILES))
     sp.add_argument("--name", help="poset name (default: the only poset)")
     sp.add_argument("--enumerate", action="store_true", help="stream every assignment")
-    sp.add_argument("--canonical", action="store_true", help="canonical choices (default)")
     sp.add_argument(
         "--choice",
         action="append",
         metavar="'meet {x,y}=z'",
-        help="override one cone choice (repeatable)",
+        help="override one canonical cone choice (repeatable)",
     )
     sp.add_argument("--limit", type=int, default=0, help="cap --enumerate output")
     sp.add_argument("--verify", action="store_true", help="also run the conditions")

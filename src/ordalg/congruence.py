@@ -11,8 +11,15 @@ once per algebra.  Generation computes Cg(a, b) for every a < b in order and
 keeps each result, so a later run merges a pair whose principal congruence
 is already known block by block instead of queueing its translations.  A
 worklist then joins each new congruence with the distinct principal
-congruences only, since every congruence is a join of principal ones.  An
-exhaustive partition scan doubles as a secondary oracle under a size guard.
+congruences only, since every congruence is a join of principal ones, and
+stops with ``BudgetExceeded`` past ``MAX_CONGRUENCES``.  An exhaustive
+partition scan doubles as a secondary oracle under a size guard.
+
+The lattice order comes from relation bitsets: each congruence is one int
+holding its relation, so refinement is one AND, a meet is the congruence
+with the intersected relation, and a join is the element whose up-set is
+the intersection of two up-sets.  Covers come from the up-sets as well, and
+distributivity is decided by the join-prime test on join-irreducibles.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import CIRC, JOIN, MEET, ONE, STAR, Algebra
-from .errors import BadPartition, MissingSymbol, SizeGuardExceeded
+from .errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
 from .poset import bits
 from .terms import App, Const, Eq, Forall, Report, Var, check_formula, render_formula
 
 BRUTE_FORCE_GUARD = 12
+MAX_CONGRUENCES = 1024
 
 
 @dataclass(frozen=True)
@@ -294,7 +302,8 @@ def _generate_congruences(A: Algebra) -> list[Congruence]:
     reuses the principal congruences already known.  Every congruence is a
     join of principal ones (R. Freese, "Computing congruences efficiently",
     2008), so a worklist joins each new congruence with each distinct
-    principal congruence it does not already contain.
+    principal congruence it does not already contain.  Raises
+    ``BudgetExceeded`` as soon as more than ``MAX_CONGRUENCES`` are found.
     """
     n = A.n
     images = _translation_images(A)
@@ -306,6 +315,7 @@ def _generate_congruences(A: Algebra) -> list[Congruence]:
             known[a, b] = tuple(block for block in cg.blocks() if len(block) > 1)
             principals.setdefault(cg, (a, b))
     found = {Congruence.identity(n), *principals}
+    _check_budget(len(found), n)
     work = list(principals)
     while work:
         c = work.pop()
@@ -315,8 +325,17 @@ def _generate_congruences(A: Algebra) -> list[Congruence]:
             j = join2(c, p)
             if j not in found:
                 found.add(j)
+                _check_budget(len(found), n)
                 work.append(j)
     return sorted(found, key=lambda c: c.rep)
+
+
+def _check_budget(count: int, n: int) -> None:
+    if count > MAX_CONGRUENCES:
+        raise BudgetExceeded(
+            f"congruence budget {MAX_CONGRUENCES} exceeded: {count} congruences "
+            f"found so far on a carrier of {n} elements"
+        )
 
 
 def _rgs_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -350,14 +369,25 @@ def all_congruences_bruteforce(A: Algebra, guard: int = BRUTE_FORCE_GUARD) -> tu
 
 
 def congruence_lattice(
-    A: Algebra, validate: bool = False, validate_guard: int = BRUTE_FORCE_GUARD
+    A: Algebra,
+    validate: bool = False,
+    validate_guard: int = BRUTE_FORCE_GUARD,
 ) -> CongruenceLattice:
     """All congruences with join/meet tables and the Hasse relation.
 
-    Generation joins principal congruences (see ``_generate_congruences``).
+    Generation joins principal congruences (see ``_generate_congruences``)
+    and raises ``BudgetExceeded`` once it finds more than ``MAX_CONGRUENCES``.
     With ``validate`` the partition-scan oracle cross-checks completeness;
     when the carrier exceeds the guard the validation is skipped and flagged
     instead of raising, so generation still runs.
+
+    The order comes from relation bitsets.  Congruence i is held as one int
+    ``mask[i]`` with the block of element a at bits n·a .. n·a + n - 1, so
+    i ≤ j iff ``mask[i] & ~mask[j] == 0``, and ``up[i]`` is the k-bit set of
+    those j.  The meet of i and j is the congruence whose mask is
+    ``mask[i] & mask[j]`` (an intersection of congruences is one); the join
+    is the one element whose up-set is ``up[i] & up[j]``.  j covers i iff j
+    lies strictly above i and strictly above no m that lies strictly above i.
     """
     cons = _generate_congruences(A)
     validated = False
@@ -372,33 +402,23 @@ def congruence_lattice(
             validated = True
         else:
             note = f"carrier {A.n} exceeds validation guard {validate_guard}; scan skipped"
-    index = {c: i for i, c in enumerate(cons)}
-    k = len(cons)
-    join_t = [[0] * k for _ in range(k)]
-    meet_t = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            jj = index[join2(cons[i], cons[j])]
-            mm = index[meet2(cons[i], cons[j])]
-            join_t[i][j] = join_t[j][i] = jj
-            meet_t[i][j] = meet_t[j][i] = mm
-    leq = [[cons[i].refines(cons[j]) for j in range(k)] for i in range(k)]
+    n, k = A.n, len(cons)
+    masks = [
+        sum(block << (n * a) for a, block in enumerate(c.block_masks())) for c in cons
+    ]
+    by_mask = {m: i for i, m in enumerate(masks)}
+    up = [sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj) for mi in masks]
+    by_up = {u: i for i, u in enumerate(up)}
+    meet_t = tuple(tuple(by_mask[mi & mj] for mj in masks) for mi in masks)
+    join_t = tuple(tuple(by_up[ui & uj] for uj in up) for ui in up)
     hasse = []
     for i in range(k):
-        for j in range(k):
-            if i != j and leq[i][j]:
-                if not any(
-                    m != i and m != j and leq[i][m] and leq[m][j] for m in range(k)
-                ):
-                    hasse.append((i, j))
-    return CongruenceLattice(
-        tuple(cons),
-        tuple(tuple(r) for r in join_t),
-        tuple(tuple(r) for r in meet_t),
-        tuple(hasse),
-        validated,
-        note,
-    )
+        strict = up[i] & ~(1 << i)
+        above_cover = 0
+        for m in bits(strict):
+            above_cover |= up[m] & ~(1 << m)
+        hasse.extend((i, j) for j in bits(strict & ~above_cover))
+    return CongruenceLattice(tuple(cons), join_t, meet_t, tuple(hasse), validated, note)
 
 
 # -- congruence properties ---------------------------------------------------------
@@ -419,7 +439,16 @@ def congruence_properties(
     lattice: CongruenceLattice | None = None,
 ) -> CongruenceProperties:
     """Decide permutability, distributivity, arithmeticity and weak regularity
-    by direct computation on the full congruence lattice."""
+    by direct computation on the full congruence lattice.
+
+    Distributivity uses the join-prime test: a finite lattice is
+    distributive iff every join-irreducible element (exactly one lower cover
+    in ``hasse``) is join-prime (B. A. Davey and H. A. Priestley,
+    *Introduction to Lattices and Order*, 2nd ed., 2002).  j is join-prime
+    iff the join of all elements not above j is not above j; with up-sets
+    read off ``join_table`` (i ≤ j iff ``join_table[i][j] == j``) that join
+    has up-set ``AND up[x]`` over x not above j, so each j costs O(k).
+    """
     if A.n > 64:
         raise SizeGuardExceeded("congruence properties guarded at carrier size 64")
     lat = lattice or congruence_lattice(A)
@@ -435,13 +464,19 @@ def congruence_properties(
         if not permutable:
             break
 
-    jt, mt = lat.join_table, lat.meet_table
-    distributive = all(
-        mt[i][jt[j][m]] == jt[mt[i][j]][mt[i][m]]
-        for i in range(k)
-        for j in range(k)
-        for m in range(k)
-    )
+    up = [sum(1 << j for j, v in enumerate(row) if v == j) for row in lat.join_table]
+    lower_covers = [0] * k
+    for _, j in lat.hasse:
+        lower_covers[j] += 1
+    everything = (1 << k) - 1
+
+    def join_prime(j: int) -> bool:
+        common = everything  # ends as the up-set of the join of all x not above j
+        for x in bits(everything & ~up[j]):
+            common &= up[x]
+        return bool(common & ~up[j])
+
+    distributive = all(join_prime(j) for j in range(k) if lower_covers[j] == 1)
 
     weakly_regular: bool | None = None
     unit: int | None = None

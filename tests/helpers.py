@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and hypothesis strategies.
 
 The oracle functions deliberately avoid the library's bitset fast paths:
-cones are recomputed with plain double loops over ``leq`` so that golden
+cones are recomputed with plain double loops over ``leq``, and congruence
+lattice tables with ``join2``/``meet2`` and plain scans, so that golden
 values are checked through a second, dumber route.
 """
 
@@ -16,6 +17,7 @@ from ordalg.assign import (
     join_table_from_choice,
     meet_table_from_choice,
 )
+from ordalg.congruence import join2, meet2
 from ordalg.enumeration import default_labels
 from ordalg.poset import closure_rows
 
@@ -110,3 +112,33 @@ def bounded_posets(draw, max_inner: int = 4):
             if x != y and inner.leq(x, y):
                 pairs.append((x + 1, y + 1))
     return poset_from_index_pairs(n, pairs)
+
+
+def lattice_oracle(cons):
+    """Join and meet tables by ``join2``/``meet2`` on every pair, and the
+    Hasse relation by the plain scan for an element strictly in between."""
+    index = {c: i for i, c in enumerate(cons)}
+    k = len(cons)
+    join_t = tuple(tuple(index[join2(a, b)] for b in cons) for a in cons)
+    meet_t = tuple(tuple(index[meet2(a, b)] for b in cons) for a in cons)
+    leq = [[a.refines(b) for b in cons] for a in cons]
+    hasse = tuple(
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+        and leq[i][j]
+        and not any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k))
+    )
+    return join_t, meet_t, hasse
+
+
+def distributive_oracle(join_t, meet_t) -> bool:
+    """The distributive identity x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) on every triple."""
+    k = len(join_t)
+    return all(
+        meet_t[i][join_t[j][m]] == join_t[meet_t[i][j]][meet_t[i][m]]
+        for i in range(k)
+        for j in range(k)
+        for m in range(k)
+    )

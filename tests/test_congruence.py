@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bounded_posets, lambda_algebra, meet_directoid
+from helpers import (
+    bounded_posets,
+    distributive_oracle,
+    lambda_algebra,
+    lattice_oracle,
+    meet_directoid,
+)
 from ordalg import (
     Algebra,
     Congruence,
@@ -11,13 +17,14 @@ from ordalg import (
     build_poset,
     congruence_lattice,
     congruence_properties,
+    direct_product,
     is_congruence,
     principal_congruence,
     verify_term_conditions,
 )
 from ordalg.algebra import MEET, STAR, ZERO
 from ordalg.congruence import join2, meet2
-from ordalg.errors import BadPartition, MissingSymbol, SizeGuardExceeded
+from ordalg.errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
 from ordalg.terms import all_hold
 
 
@@ -202,10 +209,66 @@ def test_generation_matches_partition_scan(A):
             assert all(cg.refines(t) for t in brute if t.related(a, b))
 
 
+def projection_algebra(n: int) -> Algebra:
+    # x∘y = y: every partition of the carrier is a congruence
+    return Algebra([str(i) for i in range(n)], [("∘", 2, [list(range(n))] * n)])
+
+
 def test_projection_algebra_has_every_partition():
-    # x∘y = y: every partition of 6 elements is a congruence, Bell(6) = 203
-    A = Algebra([str(i) for i in range(6)], [("∘", 2, [list(range(6))] * 6)])
-    assert len(congruence_lattice(A, validate=True)) == 203
+    # Bell(6) = 203
+    assert len(congruence_lattice(projection_algebra(6), validate=True)) == 203
+
+
+def assert_lattice_matches_oracle(A, lat=None):
+    lat = lat or congruence_lattice(A)
+    join_t, meet_t, hasse = lattice_oracle(lat.congruences)
+    assert lat.join_table == join_t
+    assert lat.meet_table == meet_t
+    assert lat.hasse == hasse
+    distributive = distributive_oracle(join_t, meet_t)
+    assert congruence_properties(A, lattice=lat).distributive == distributive
+    return distributive
+
+
+@given(small_algebras())
+@settings(max_examples=150, deadline=None)
+def test_lattice_tables_match_oracle(A):
+    assert_lattice_matches_oracle(A)
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (4, 15)])
+def test_partition_lattice_not_distributive(n, k):
+    # Π₃ ≅ M₃, and Π₄ contains it
+    A = projection_algebra(n)
+    lat = congruence_lattice(A)
+    assert len(lat) == k
+    assert not assert_lattice_matches_oracle(A, lat)
+
+
+def meet_chain(n):
+    # ⊓ on an n-chain: the congruences cut the chain into intervals, 2ⁿ⁻¹ of them
+    return meet_directoid(build_poset([str(i) for i in range(n)],
+                                      [(str(i), str(i + 1)) for i in range(n - 1)]))
+
+
+def test_meet_chain_lattice_is_boolean():
+    A = meet_chain(9)
+    lat = congruence_lattice(A)
+    assert len(lat) == 256 and len(lat.hasse) == 8 * 2**7
+    join_t, meet_t, hasse = lattice_oracle(lat.congruences)
+    assert (lat.join_table, lat.meet_table, lat.hasse) == (join_t, meet_t, hasse)
+    # the k³ distributive identity (16.7M triples here) is left to the small cases
+    assert congruence_properties(A, lattice=lat).distributive
+
+
+def test_congruence_budget(figs):
+    F = figs.algebras["fig4_spc"]
+    with pytest.raises(BudgetExceeded, match=r"budget 1024 exceeded: 1025 .* 16 elements"):
+        congruence_lattice(direct_product(F, F))
+    assert len(congruence_lattice(projection_algebra(7))) == 877  # Bell(7)
+    assert len(congruence_lattice(meet_chain(11))) == 1024  # exactly the budget
+    with pytest.raises(BudgetExceeded, match=r"budget 1024 exceeded: 1025 .* 12 elements"):
+        congruence_lattice(meet_chain(12))
 
 
 @given(bounded_posets(max_inner=2))
