@@ -62,9 +62,6 @@ from .pc import (
     PcClassification,
     check_distributive_pc_equalities,
     classify,
-    classify_pseudocomplemented,
-    classify_relative,
-    classify_sectional,
     pseudocomplement,
     relative_pseudocomplement,
     rpc_table,
@@ -76,7 +73,6 @@ from .poset import (
     ConeResult,
     DirectednessReport,
     DistributivityReport,
-    Element,
     Poset,
     build_poset,
     directedness,

@@ -106,9 +106,6 @@ class Algebra:
         except KeyError:
             raise UnknownLabel(f"unknown label {label!r}") from None
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def table(self, name: str):
         try:
             return self._table[name]
@@ -171,9 +168,6 @@ def induced_order(A: Algebra, kind: str = "meet") -> Poset:
             if (t[x][y] == x) if kind == "meet" else (t[x][y] == y):
                 down[y] |= 1 << x
     return Poset(A.labels, down)
-
-
-AXIOM_CLASSES = ("meet_directoid", "join_directoid", "lambda_lattice")
 
 
 def verify_axioms(A: Algebra, cls: str) -> dict[str, Report]:

@@ -316,19 +316,6 @@ def assign_algebra(
     return _build(P, prof, meet, join, cls.table, _constant_values(P, prof, False))
 
 
-def _assign_best_effort(
-    P: Poset, prof: Profile, meet: Choice | None, join: Choice | None
-) -> Algebra:
-    """Assignment that always produces a total algebra, greatest-or-maximal."""
-    if prof.class_kind in ("pseudocomplemented", "stone"):
-        table = pc.star_table(P, best_effort=True)
-    elif prof.class_kind == "relatively_pc":
-        table = pc.rpc_table(P, best_effort=True)
-    else:
-        table = pc.spc_table(P, best_effort=True)
-    return _build(P, prof, meet, join, table, _constant_values(P, prof, True))
-
-
 def cone_via_directoid(A: Algebra, a: int, b: int, kind: str = "meet") -> frozenset[int]:
     """Cone of {a,b} recovered from the directoid: {(a op x) op (b op x) | x}."""
     sym = MEET if kind == "meet" else JOIN
@@ -541,6 +528,8 @@ def theorem_equivalence_audit(
             prof.name, cls.holds, 0, 0, False, (), f"no assignments exist: {e}"
         )
 
+    table = cls.table if cls.holds else pc.best_effort_table(P, prof.class_kind)
+    constants = _constant_values(P, prof, best_effort=not cls.holds)
     total = space.count
     sampled = total > budget
     rng = random.Random(seed)
@@ -551,10 +540,7 @@ def theorem_equivalence_audit(
         if sampled and rng.random() > keep:
             continue
         meet, join = choice if kind == "lambda" else (choice, None)
-        if cls.holds:
-            A = _build(P, prof, meet, join, cls.table, _constant_values(P, prof, False))
-        else:
-            A = _assign_best_effort(P, prof, meet, join)
+        A = _build(P, prof, meet, join, table, constants)
         verdict = all_hold(
             verify_assigned_conditions(A, prof, short_circuit=not cls.holds)
         )

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import JOIN, MEET, Algebra
-from .assign import canonical_choice, join_table_from_choice, meet_table_from_choice
-from .errors import OrdalgError, ParseError
+from .assign import _normalize_choice, _table_from_choice, canonical_choice
+from .errors import InvalidChoice, OrdalgError, ParseError
 from .poset import Poset, build_poset
 
 _RESERVED_IN_LABEL = ("<", ":", "->", "#")
@@ -152,22 +152,14 @@ class _Parser:
                     f"algebra gives both an explicit {sym} table and {kind} choices",
                 )
             line = b.choice_lines[kind]
-            choice = dict(canonical_choice(P, kind))
+            choice = canonical_choice(P, kind)
             for (la, lb), lv in b.choices[kind].items():
-                x, y = to_index(la, line), to_index(lb, line)
-                v = to_index(lv, line)
-                if P.comparable(x, y):
-                    self.fail(line, f"pair {{{la},{lb}}} is comparable; its {kind} is forced")
-                cone = P.down[x] & P.down[y] if kind == "meet" else P.up[x] & P.up[y]
-                if not (cone >> v) & 1:
-                    self.fail(line, f"choice {lv!r} is outside the {kind} cone of {{{la},{lb}}}")
-                choice[(min(x, y), max(x, y))] = v
-            table = (
-                meet_table_from_choice(P, choice)
-                if kind == "meet"
-                else join_table_from_choice(P, choice)
-            )
-            ops.append((sym, 2, table))
+                choice[(to_index(la, line), to_index(lb, line))] = to_index(lv, line)
+            try:
+                choice = _normalize_choice(P, kind, choice)
+            except InvalidChoice as e:
+                raise ParseError(line, str(e)) from e
+            ops.append((sym, 2, _table_from_choice(P, choice, kind)))
 
         for sym, arity, payload, line in b.ops:
             if arity == 0:

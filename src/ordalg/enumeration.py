@@ -16,8 +16,6 @@ from string import ascii_lowercase
 
 from .poset import Poset, bits, closure_rows
 
-_KEY_CACHE: dict[tuple[int, ...], tuple] = {}
-
 
 def default_labels(n: int) -> tuple[str, ...]:
     if n <= 26:
@@ -47,9 +45,6 @@ def _refined_ranks(P: Poset) -> list[int]:
 
 def canonical_key(P: Poset) -> tuple:
     """Relabelling-invariant key; equal keys iff isomorphic posets."""
-    cached = _KEY_CACHE.get(P.down)
-    if cached is not None:
-        return cached
     n = P.n
     ranks = _refined_ranks(P)
     classes: dict[int, list[int]] = {}
@@ -85,9 +80,7 @@ def canonical_key(P: Poset) -> tuple:
             used[v] = False
 
     place(0, ())
-    key = (n, tuple(len(classes[r]) for r in sorted(classes))) + best[0]
-    _KEY_CACHE[P.down] = key
-    return key
+    return (n, tuple(len(classes[r]) for r in sorted(classes))) + best[0]
 
 
 def are_isomorphic(P: Poset, Q: Poset) -> bool:

@@ -5,6 +5,18 @@ construction.  :func:`greatest_in` deliberately distinguishes "the set has a
 maximum" from "the set only has maximal elements" — exactly the point where
 posets differ from lattices — and classification reports the antichain of
 maximal candidates as the witness when the maximum is missing.
+
+Each of the three derived operations (``*``, the relative ``*`` and ``∘``)
+is computed by one row-major scan over its cells, :func:`_scan`.  The scan
+returns either the whole table or the first absent cell with its maximal
+candidates; :func:`classify`, the three table functions and
+:func:`best_effort_table` all read it, so no cell is computed twice.
+
+Diagonal fallback: on a poset without enough upper structure the sectional
+candidate set {z : z >= x} of a diagonal pair (x, x) can lack a maximum.
+The entry then falls back to x itself, the least candidate (the bundled
+topless fixture fig4 needs this), and classification lists those x in its
+note.  The fallback never fires on a poset with a top.
 """
 
 from __future__ import annotations
@@ -74,7 +86,7 @@ def greatest_in(P: Poset, candidates: int) -> Greatest:
     return Greatest(None, maximal)
 
 
-# -- pseudocomplements --------------------------------------------------------
+# -- the three derived operations ---------------------------------------------
 
 
 def _pc_detail(P: Poset, x: int, bottom: int) -> Greatest:
@@ -86,71 +98,12 @@ def _pc_detail(P: Poset, x: int, bottom: int) -> Greatest:
     return greatest_in(P, cand)
 
 
-def pseudocomplement(P: Poset, x: int) -> int | None:
-    """Greatest y with L(x,y) = {0}; absent when only maximal candidates exist."""
-    bottom, _ = extremes(P)
-    if bottom is None:
-        raise NoBottom("pseudocomplements need a bottom element")
-    return _pc_detail(P, x, bottom).value
-
-
-def star_table(P: Poset, best_effort: bool = False) -> tuple[int, ...] | None:
-    """Full unary pseudocomplement table; None when some entry is absent.
-
-    With ``best_effort`` the lexicographically first maximal candidate fills
-    absent entries (used to exercise the failing direction of characterization
-    audits); the result is then always total.
-    """
-    bottom, _ = extremes(P)
-    if bottom is None:
-        if best_effort:
-            return tuple(0 for _ in range(P.n))
-        return None
-    out = []
-    for x in range(P.n):
-        g = _pc_detail(P, x, bottom)
-        if g.value is not None:
-            out.append(g.value)
-        elif best_effort:
-            out.append(g.maximal[0])
-        else:
-            return None
-    return tuple(out)
-
-
-# -- relative pseudocomplements -----------------------------------------------
-
-
 def _rpc_detail(P: Poset, x: int, y: int) -> Greatest:
     cand = 0
     for z in range(P.n):
         if P.down[x] & P.down[z] & ~P.down[y] == 0:
             cand |= 1 << z
     return greatest_in(P, cand)
-
-
-def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """Greatest z with L(x,z) ⊆ L(y)."""
-    return _rpc_detail(P, x, y).value
-
-
-def rpc_table(P: Poset, best_effort: bool = False) -> tuple[tuple[int, ...], ...] | None:
-    out = []
-    for x in range(P.n):
-        row = []
-        for y in range(P.n):
-            g = _rpc_detail(P, x, y)
-            if g.value is not None:
-                row.append(g.value)
-            elif best_effort:
-                row.append(g.maximal[0])
-            else:
-                return None
-        out.append(tuple(row))
-    return tuple(out)
-
-
-# -- sectional pseudocomplements ------------------------------------------------
 
 
 def _spc_detail(P: Poset, x: int, y: int) -> Greatest:
@@ -162,47 +115,107 @@ def _spc_detail(P: Poset, x: int, y: int) -> Greatest:
     return greatest_in(P, cand)
 
 
-def sectional_pseudocomplement(
-    P: Poset, x: int, y: int, diagonal_fallback: bool = True
-) -> int | None:
-    """Greatest z with L(U(x,y),z) = L(y).
+@dataclass(frozen=True)
+class _Scan:
+    """Outcome of one row-major pass over an operation's cells."""
 
-    On diagonal pairs of a poset without enough upper structure the candidate
-    set {z : z >= x} can lack a maximum; with ``diagonal_fallback`` (the
-    default, matching the bundled topless example fixture) the entry falls
-    back to x itself, the least candidate.  The fallback provably never fires
-    on a directed poset.
+    table: tuple | None
+    witness: dict | None = None
+    fallback: tuple[int, ...] = ()  # x of each sectional (x, x) that fell back to x
+
+
+def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
+    """Visit every cell of ``op`` ("pc", "rpc" or "spc") once, in row-major order.
+
+    A cell whose candidates have a maximum takes it.  An absent sectional
+    diagonal cell (x, x) takes x.  Any other absent cell ends the scan with
+    that cell and its maximal candidates as the witness; with
+    ``best_effort`` it takes the first maximal candidate instead (y when
+    there is none), so the table is always total.
     """
+    n = P.n
+    if op == "pc":
+        bottom, _ = extremes(P)
+        if bottom is None:
+            if best_effort:
+                return _Scan((0,) * n)
+            return _Scan(None, {"reason": "no bottom element"})
+        cells = [(x,) for x in range(n)]
+        detail = lambda P, x: _pc_detail(P, x, bottom)
+    else:
+        cells = product(range(n), repeat=2)
+        detail = _rpc_detail if op == "rpc" else _spc_detail
+    entries = []
+    fallback = []
+    for cell in cells:
+        g = detail(P, *cell)
+        if g.value is not None:
+            entries.append(g.value)
+        elif op == "spc" and cell[0] == cell[1]:
+            entries.append(cell[0])
+            fallback.append(cell[0])
+        elif best_effort:
+            entries.append(g.maximal[0] if g.maximal else cell[-1])
+        else:
+            return _Scan(None, dict(zip("xy", cell), maximal=g.maximal))
+    if op == "pc":
+        return _Scan(tuple(entries))
+    rows = tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n))
+    return _Scan(rows, None, tuple(fallback))
+
+
+def pseudocomplement(P: Poset, x: int) -> int | None:
+    """Greatest y with L(x,y) = {0}; absent when only maximal candidates exist."""
+    bottom, _ = extremes(P)
+    if bottom is None:
+        raise NoBottom("pseudocomplements need a bottom element")
+    return _pc_detail(P, x, bottom).value
+
+
+def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
+    """Greatest z with L(x,z) ⊆ L(y)."""
+    return _rpc_detail(P, x, y).value
+
+
+def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
+    """Greatest z with L(U(x,y),z) = L(y); x itself on an absent diagonal."""
     g = _spc_detail(P, x, y)
-    if g.value is not None:
-        return g.value
-    if diagonal_fallback and x == y:
+    if g.value is None and x == y:
         return x
-    return None
+    return g.value
 
 
-def spc_table(
-    P: Poset, best_effort: bool = False, diagonal_fallback: bool = True
-) -> tuple[tuple[int, ...], ...] | None:
-    out = []
-    for x in range(P.n):
-        row = []
-        for y in range(P.n):
-            g = _spc_detail(P, x, y)
-            if g.value is not None:
-                row.append(g.value)
-            elif diagonal_fallback and x == y:
-                row.append(x)
-            elif best_effort:
-                row.append(g.maximal[0] if g.maximal else y)
-            else:
-                return None
-        out.append(tuple(row))
-    return tuple(out)
+def star_table(P: Poset) -> tuple[int, ...] | None:
+    """Full unary pseudocomplement table; None when some entry is absent."""
+    return _scan(P, "pc").table
 
 
-def _spc_fallback_entries(P: Poset) -> tuple[int, ...]:
-    return tuple(x for x in range(P.n) if _spc_detail(P, x, x).value is None)
+def rpc_table(P: Poset) -> tuple[tuple[int, ...], ...] | None:
+    return _scan(P, "rpc").table
+
+
+def spc_table(P: Poset) -> tuple[tuple[int, ...], ...] | None:
+    return _scan(P, "spc").table
+
+
+_OPERATION = {
+    "pseudocomplemented": "pc",
+    "stone": "pc",
+    "relatively_pc": "rpc",
+    "sectionally_pc": "spc",
+    "sectionally_pc_with_1": "spc",
+    "strongly_sectionally_pc": "spc",
+}
+
+
+def best_effort_table(P: Poset, kind: str) -> tuple:
+    """The table of the class's operation with absent entries filled in.
+
+    Each absent entry takes the first maximal candidate (see :func:`_scan`),
+    so the table is always total; audits use it to exercise the failing
+    direction of a characterization.
+    """
+    return _scan(P, _OPERATION[canonical_kind(kind)], best_effort=True).table
 
 
 # -- classification -------------------------------------------------------------
@@ -216,21 +229,13 @@ def classify(P: Poset, kind: str) -> PcClassification:
     (or ``applicable=False`` where the class's own statement needs a top).
     """
     kind = canonical_kind(kind)
+    scan = _scan(P, _OPERATION[kind])
+    table = scan.table
+    if table is None:
+        return PcClassification(kind, False, witness=scan.witness)
     bottom, top = extremes(P)
 
-    if kind in ("pseudocomplemented", "stone"):
-        if bottom is None:
-            return PcClassification(kind, False, witness={"reason": "no bottom element"})
-        for x in range(P.n):
-            g = _pc_detail(P, x, bottom)
-            if g.value is None:
-                return PcClassification(
-                    kind, False, witness={"x": x, "maximal": g.maximal}
-                )
-        table = star_table(P)
-        assert table is not None
-        if kind == "pseudocomplemented":
-            return PcClassification(kind, True, table=table)
+    if kind == "stone":
         unit = table[bottom]  # 0* is the top element
         for x in range(P.n):
             cone = P.up[table[x]] & P.up[table[table[x]]]
@@ -241,65 +246,24 @@ def classify(P: Poset, kind: str) -> PcClassification:
                     table=table,
                     witness={"x": x, "U(x*,x**)": tuple(bits(cone)), "expected": (unit,)},
                 )
-        return PcClassification(kind, True, table=table)
-
-    if kind == "relatively_pc":
-        for x, y in product(range(P.n), repeat=2):
-            g = _rpc_detail(P, x, y)
-            if g.value is None:
-                return PcClassification(
-                    kind, False, witness={"x": x, "y": y, "maximal": g.maximal}
-                )
-        return PcClassification(kind, True, table=rpc_table(P))
-
-    # sectional family
-    fallback = _spc_fallback_entries(P)
-    for x, y in product(range(P.n), repeat=2):
-        if x == y and x in fallback:
-            continue
-        g = _spc_detail(P, x, y)
-        if g.value is None:
+    elif kind in ("sectionally_pc_with_1", "strongly_sectionally_pc"):
+        if top is None:
             return PcClassification(
-                kind, False, witness={"x": x, "y": y, "maximal": g.maximal}
+                kind, False, applicable=False, table=table, note="no top element"
             )
-    table = spc_table(P)
-    assert table is not None
+        if kind == "strongly_sectionally_pc":  # x <= (x∘y)∘y everywhere
+            for x, y in product(range(P.n), repeat=2):
+                v = table[table[x][y]][y]
+                if not P.leq(x, v):
+                    return PcClassification(
+                        kind, False, table=table, witness={"x": x, "y": y, "(x∘y)∘y": v}
+                    )
     note = ""
-    if fallback:
+    if scan.fallback:
         note = "diagonal fallback (least candidate) at: " + ", ".join(
-            P.labels[x] for x in fallback
+            P.labels[x] for x in scan.fallback
         )
-    if kind == "sectionally_pc":
-        return PcClassification(kind, True, table=table, note=note)
-    if top is None:
-        return PcClassification(
-            kind, False, applicable=False, table=table, note="no top element"
-        )
-    if kind == "sectionally_pc_with_1":
-        return PcClassification(kind, True, table=table, note=note)
-    # strongly: x <= (x∘y)∘y everywhere
-    for x, y in product(range(P.n), repeat=2):
-        v = table[table[x][y]][y]
-        if not P.leq(x, v):
-            return PcClassification(
-                kind, False, table=table, witness={"x": x, "y": y, "(x∘y)∘y": v}
-            )
     return PcClassification(kind, True, table=table, note=note)
-
-
-def classify_pseudocomplemented(P: Poset) -> PcClassification:
-    return classify(P, "pseudocomplemented")
-
-
-def classify_relative(P: Poset) -> PcClassification:
-    return classify(P, "relatively_pc")
-
-
-def classify_sectional(P: Poset, kind: str = "sectionally_pc") -> PcClassification:
-    kind = canonical_kind(kind)
-    if kind not in ("sectionally_pc", "sectionally_pc_with_1", "strongly_sectionally_pc"):
-        raise ValueError(f"{kind!r} is not a sectional kind")
-    return classify(P, kind)
 
 
 # -- the equality characterization for distributive posets ---------------------

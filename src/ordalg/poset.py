@@ -43,12 +43,6 @@ def closure_rows(rows: list[int], n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Element:
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
 class ConeResult:
     """Lower or upper cone of a generator set."""
 
@@ -146,18 +140,11 @@ class Poset:
 
     # -- element access ----------------------------------------------------
 
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(Element(i, l) for i, l in enumerate(self.labels))
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]
         except KeyError:
             raise UnknownLabel(f"unknown label {label!r}") from None
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
 
     @property
     def full(self) -> int:
@@ -169,19 +156,10 @@ class Poset:
             m |= 1 << e
         return m
 
-    def members(self, mask: int) -> tuple[int, ...]:
-        return tuple(bits(mask))
-
-    def label_set(self, mask: int) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in bits(mask))
-
     # -- order primitives ----------------------------------------------------
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)
-
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
 
     def comparable(self, x: int, y: int) -> bool:
         return self.leq(x, y) or self.leq(y, x)

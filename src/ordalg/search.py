@@ -23,12 +23,7 @@ from .poset import Poset, directedness, extremes, is_distributive, is_lattice
 EXHAUSTIVE_GUARD = 7
 
 _ATOMS: dict[str, Callable[[Poset], bool]] = {
-    "pseudocomplemented": lambda P: pc.classify(P, "pseudocomplemented").holds,
-    "stone": lambda P: pc.classify(P, "stone").holds,
-    "relatively_pc": lambda P: pc.classify(P, "relatively_pc").holds,
-    "sectionally_pc": lambda P: pc.classify(P, "sectionally_pc").holds,
-    "sectionally_pc_with_1": lambda P: pc.classify(P, "sectionally_pc_with_1").holds,
-    "strongly_sectionally_pc": lambda P: pc.classify(P, "strongly_sectionally_pc").holds,
+    **{kind: (lambda P, kind=kind: pc.classify(P, kind).holds) for kind in pc.KINDS},
     "distributive": lambda P: is_distributive(P).holds,
     "lattice": is_lattice,
     "bounded": lambda P: None not in extremes(P),
@@ -37,13 +32,7 @@ _ATOMS: dict[str, Callable[[Poset], bool]] = {
     "directed": lambda P: directedness(P).kind == "both",
 }
 
-_ATOM_ALIASES = {
-    "pc": "pseudocomplemented",
-    "rpc": "relatively_pc",
-    "spc": "sectionally_pc",
-    "spc1": "sectionally_pc_with_1",
-    "sspc": "strongly_sectionally_pc",
-}
+_ATOM_ALIASES = pc._ALIASES
 
 Predicate = tuple[tuple[bool, str], ...]  # conjunction of (negated, atom)
 

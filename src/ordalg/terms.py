@@ -144,22 +144,6 @@ def render_formula(f: Node) -> str:
 # -- validation and cost ---------------------------------------------------
 
 
-def _walk_terms(node: Node):
-    if isinstance(node, Eq):
-        yield node.lhs
-        yield node.rhs
-    elif isinstance(node, Forall):
-        yield from _walk_terms(node.body)
-    elif isinstance(node, Implies):
-        yield from _walk_terms(node.premise)
-        yield from _walk_terms(node.conclusion)
-    elif isinstance(node, Iff):
-        yield from _walk_terms(node.lhs)
-        yield from _walk_terms(node.rhs)
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-
-
 def _validate_term(A: "Algebra", t: Term, bound: frozenset[str]) -> None:
     if isinstance(t, Var):
         if t.name not in bound:

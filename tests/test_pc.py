@@ -1,15 +1,12 @@
 import pytest
 from hypothesis import given, settings
 
-from helpers import idx, labset, posets, raw_greatest, raw_lower
+from helpers import idx, labset, posets, raw_greatest, raw_lower, raw_upper
 from ordalg import (
     all_posets,
     build_poset,
     check_distributive_pc_equalities,
     classify,
-    classify_pseudocomplemented,
-    classify_relative,
-    classify_sectional,
     extremes,
     is_distributive,
     pseudocomplement,
@@ -19,8 +16,9 @@ from ordalg import (
     spc_table,
     star_table,
 )
+from ordalg import pc
 from ordalg.errors import NoBottom
-from ordalg.pc import _spc_detail, greatest_in
+from ordalg.pc import _spc_detail, best_effort_table, greatest_in
 
 
 # -- pseudocomplements -----------------------------------------------------------
@@ -61,7 +59,7 @@ def test_star_table_oracle_fig2(fig2):
 
 
 def test_classify_pc_fig1(fig1):
-    cls = classify_pseudocomplemented(fig1)
+    cls = classify(fig1, "pseudocomplemented")
     assert cls.holds and cls.kind == "pseudocomplemented"
     stone = classify(fig1, "stone")
     assert not stone.holds
@@ -78,7 +76,7 @@ def test_classify_stone_fig2_fig3(fig2, fig3):
 
 def test_classify_antichain_not_pc():
     P = build_poset(["a", "b"], [])
-    cls = classify_pseudocomplemented(P)
+    cls = classify(P, "pseudocomplemented")
     assert not cls.holds and cls.witness == {"reason": "no bottom element"}
 
 
@@ -102,7 +100,7 @@ def test_rpc_table_matches_fixture(figs, fig1):
 def test_rpc_fig5_absent(fig5):
     b, a = idx(fig5, "b", "a")
     assert relative_pseudocomplement(fig5, b, a) is None
-    cls = classify_relative(fig5)
+    cls = classify(fig5, "relatively_pc")
     assert not cls.holds and (cls.witness["x"], cls.witness["y"]) == (b, a)
     assert labset(fig5, cls.witness["maximal"]) == {"a", "c"}
 
@@ -130,7 +128,7 @@ def test_rpc_adjointness(P):
 def test_rpc_implies_distributive_small():
     for n in range(1, 7):
         for P in all_posets(n):
-            if classify_relative(P).holds:
+            if classify(P, "relatively_pc").holds:
                 assert is_distributive(P).holds
 
 
@@ -160,17 +158,18 @@ def test_spc_fig4_second_projection(fig4):
 
 
 def test_spc_fig4_diagonal_fallback_is_flagged(fig4):
-    cls = classify_sectional(fig4)
+    cls = classify(fig4, "sectionally_pc")
     assert cls.holds
     assert "diagonal fallback" in cls.note
     # without the fallback the two non-maximal diagonal entries are absent
     a, b = idx(fig4, "a", "b")
-    assert sectional_pseudocomplement(fig4, a, a, diagonal_fallback=False) is None
-    assert sectional_pseudocomplement(fig4, b, b, diagonal_fallback=False) is None
+    assert _spc_detail(fig4, a, a).value is None
+    assert _spc_detail(fig4, b, b).value is None
+    assert sectional_pseudocomplement(fig4, a, a) == a
 
 
 def test_spc_classification_family(fig4, fig5):
-    assert classify_sectional(fig4).holds
+    assert classify(fig4, "sectionally_pc").holds
     with1 = classify(fig4, "sectionally_pc_with_1")
     assert not with1.holds and not with1.applicable and "no top" in with1.note
     strong = classify(fig4, "strongly_sectionally_pc")
@@ -184,7 +183,7 @@ def test_spc_m3_not_sectional():
         ["0", "p", "q", "r", "1"],
         [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")],
     )
-    cls = classify_sectional(M3)
+    cls = classify(M3, "sectionally_pc")
     assert not cls.holds
     assert cls.witness == {"x": 1, "y": 0, "maximal": (2, 3)}
 
@@ -192,22 +191,84 @@ def test_spc_m3_not_sectional():
 # -- table re-verification invariants ------------------------------------------------
 
 
+def _raw_cells(P, op):
+    """Each cell of the operation in row-major order with its candidate set,
+    from raw cone loops; None for the pseudocomplement of a bottomless P."""
+    n = P.n
+    if op == "pc":
+        bottoms = [w for w in range(n) if raw_upper(P, {w}) == set(range(n))]
+        if not bottoms:
+            return None
+        return [((x,), {y for y in range(n) if raw_lower(P, {x, y}) == set(bottoms)})
+                for x in range(n)]
+    if op == "rpc":
+        inside = lambda x, y, z: raw_lower(P, {x, z}) <= raw_lower(P, {y})
+    else:
+        inside = lambda x, y, z: raw_lower(P, raw_upper(P, {x, y}) | {z}) == raw_lower(P, {y})
+    return [((x, y), {z for z in range(n) if inside(x, y, z)})
+            for x in range(n) for y in range(n)]
+
+
+def _raw_maximal(P, cand) -> list[int]:
+    return sorted(z for z in cand if not any(w != z and P.leq(z, w) for w in cand))
+
+
+def _reverify_tables(P):
+    """classify, the three tables and the best-effort tables against the oracle."""
+    for kind, op, table_of in (
+        ("pseudocomplemented", "pc", star_table),
+        ("relatively_pc", "rpc", rpc_table),
+        ("sectionally_pc", "spc", spc_table),
+    ):
+        cls = classify(P, kind)
+        best = best_effort_table(P, kind)
+        cells = _raw_cells(P, op)
+        if cells is None:
+            assert cls.witness == {"reason": "no bottom element"}
+            assert table_of(P) is None and best == (0,) * P.n
+            continue
+        expected, absent, fallback = [], [], []
+        for cell, cand in cells:
+            greatest, maximal = raw_greatest(P, cand), _raw_maximal(P, cand)
+            if greatest is not None:
+                expected.append(greatest)
+            elif op == "spc" and cell[0] == cell[1]:
+                expected.append(cell[0])
+                fallback.append(P.labels[cell[0]])
+            else:
+                absent.append(dict(zip("xy", cell), maximal=tuple(maximal)))
+                expected.append(maximal[0] if maximal else cell[-1])
+        flat = best if op == "pc" else [v for row in best for v in row]
+        assert list(flat) == expected
+        if absent:
+            assert not cls.holds and cls.witness == absent[0]
+            assert table_of(P) is None
+        else:
+            assert cls.holds and cls.table == table_of(P) == best
+            note = "diagonal fallback (least candidate) at: " + ", ".join(fallback)
+            assert cls.note == (note if fallback else "")
+
+
 @given(posets(max_n=5))
 @settings(max_examples=60)
 def test_classification_tables_reverify(P):
-    cls = classify_relative(P)
-    if cls.holds:
-        for x in range(P.n):
-            for y in range(P.n):
-                v = cls.table[x][y]
-                cand = {
-                    z for z in range(P.n) if raw_lower(P, {x, z}) <= raw_lower(P, {y})
-                }
-                assert raw_greatest(P, cand) == v
-    else:
-        x, y = cls.witness["x"], cls.witness["y"]
-        cand = {z for z in range(P.n) if raw_lower(P, {x, z}) <= raw_lower(P, {y})}
-        assert raw_greatest(P, cand) is None
+    _reverify_tables(P)
+
+
+def test_classification_tables_reverify_small():
+    for n in range(1, 6):
+        for P in all_posets(n):
+            _reverify_tables(P)
+
+
+def test_classification_is_one_pass(fig1, fig5, monkeypatch):
+    calls = []
+    for name in ("_rpc_detail", "_spc_detail"):
+        detail = getattr(pc, name)
+        monkeypatch.setattr(pc, name, lambda P, x, y, f=detail: calls.append(1) or f(P, x, y))
+    assert classify(fig1, "rpc").holds and len(calls) == fig1.n**2
+    calls.clear()
+    assert classify(fig5, "sspc").holds and len(calls) == fig5.n**2
 
 
 def test_greatest_in_distinguishes_maximal(fig4):
