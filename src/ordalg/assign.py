@@ -2,7 +2,8 @@
 
 An assignment fixes ``x⊓y = min(x,y)`` on comparable pairs and an arbitrary
 element of the lower cone on incomparable ones (dually for ``⊔``), so the
-choice space is the product of the incomparable pairs' cones.  Each profile
+choice space is the product of the incomparable pairs' cones, and
+:class:`ChoiceSpace` numbers its assignments in mixed radix.  Each profile
 bundles the induced operation (pseudocomplement, relative or sectional
 pseudocomplement) and constants into one algebra and knows the quantified
 conditions that characterize the underlying poset class, plus the derived
@@ -11,10 +12,9 @@ identities that must then follow.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
 
 from . import pc
 from .algebra import CIRC, JOIN, MEET, ONE, STAR, ZERO, Algebra, Signature
@@ -24,6 +24,7 @@ from .errors import (
     MissingStructure,
     MissingSymbol,
     NotDirected,
+    OrdalgError,
 )
 from .poset import Poset, bits, extremes
 from .terms import (
@@ -42,6 +43,8 @@ from .terms import (
 )
 
 Choice = dict[tuple[int, int], int]
+
+AUDIT_BUDGET = 10_000  # assignments an audit checks before it samples
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,16 @@ def incomparable_pairs(P: Poset) -> list[tuple[int, int]]:
 
 
 class ChoiceSpace:
-    """Lexicographic stream of cone choices for the incomparable pairs.
+    """The cone choices for the incomparable pairs, as one mixed-radix space.
 
-    ``kind`` is ``meet``, ``join`` or ``lambda``; the λ space is the product
-    of the meet and join spaces (meet varying slowest) and yields pairs of
-    dicts.  Construction raises :class:`NotDirected` with the first failing
-    pair when some required cone is empty.
+    ``kind`` is ``meet``, ``join`` or ``lambda``.  An assignment is an index
+    in ``range(count)`` whose digits pick one cone element per pair: the meet
+    pairs come first, then the join pairs, and the last pair varies fastest.
+    ``decode`` maps an index to a choice dict (a ``(meet, join)`` pair of
+    dicts for λ), and iteration decodes every index in turn, which is
+    lexicographic order with meet varying slowest.  Construction raises
+    :class:`NotDirected` with the first failing pair when some required cone
+    is empty.
     """
 
     def __init__(self, P: Poset, kind: str):
@@ -170,30 +177,25 @@ class ChoiceSpace:
                         (P.labels[x], P.labels[y]),
                     )
                 self.join_options.append(tuple(bits(cone)))
+        self.count = math.prod(map(len, self.meet_options + self.join_options))
 
-    @property
-    def count(self) -> int:
-        total = 1
-        for opts in self.meet_options:
-            total *= len(opts)
-        for opts in self.join_options:
-            total *= len(opts)
-        return total
-
-    def _iter_one(self, options: list[tuple[int, ...]]) -> Iterator[Choice]:
-        for values in product(*options):
-            yield dict(zip(self.pairs, values))
+    def decode(self, index: int) -> Choice | tuple[Choice, Choice]:
+        """The assignment at ``index``, read as mixed-radix digits."""
+        if not 0 <= index < self.count:
+            raise IndexError(f"assignment {index} outside range({self.count})")
+        values = []
+        for options in reversed(self.meet_options + self.join_options):
+            index, digit = divmod(index, len(options))
+            values.append(options[digit])
+        values.reverse()
+        k = len(self.meet_options)
+        meet, join = dict(zip(self.pairs, values[:k])), dict(zip(self.pairs, values[k:]))
+        if self.kind == "lambda":
+            return meet, join
+        return meet if self.kind == "meet" else join
 
     def __iter__(self):
-        if self.kind == "meet":
-            return self._iter_one(self.meet_options)
-        if self.kind == "join":
-            return self._iter_one(self.join_options)
-        return (
-            (m, j)
-            for m in self._iter_one(self.meet_options)
-            for j in self._iter_one(self.join_options)
-        )
+        return map(self.decode, range(self.count))
 
 
 def enumerate_choices(P: Poset, kind: str) -> ChoiceSpace:
@@ -202,9 +204,7 @@ def enumerate_choices(P: Poset, kind: str) -> ChoiceSpace:
 
 def canonical_choice(P: Poset, kind: str) -> Choice:
     """Smallest-index cone element for every incomparable pair."""
-    space = ChoiceSpace(P, kind)
-    options = space.meet_options if kind == "meet" else space.join_options
-    return {pair: opts[0] for pair, opts in zip(space.pairs, options)}
+    return ChoiceSpace(P, kind).decode(0)
 
 
 def _normalize_choice(P: Poset, kind: str, choice: Choice | None) -> Choice:
@@ -232,15 +232,8 @@ def _normalize_choice(P: Poset, kind: str, choice: Choice | None) -> Choice:
     return out
 
 
-def meet_table_from_choice(P: Poset, choice: Choice) -> tuple[tuple[int, ...], ...]:
-    return _table_from_choice(P, choice, "meet")
-
-
-def join_table_from_choice(P: Poset, choice: Choice) -> tuple[tuple[int, ...], ...]:
-    return _table_from_choice(P, choice, "join")
-
-
-def _table_from_choice(P: Poset, choice: Choice, kind: str):
+def table_from_choice(P: Poset, choice: Choice, kind: str) -> tuple[tuple[int, ...], ...]:
+    """The ``meet`` or ``join`` table: forced on comparable pairs, chosen elsewhere."""
     n = P.n
     rows = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -277,17 +270,18 @@ def _constant_values(P: Poset, prof: Profile, best_effort: bool) -> dict[str, in
 def _build(
     P: Poset,
     prof: Profile,
-    meet: Choice | None,
+    meet: Choice,
     join: Choice | None,
     op_table,
     constants: dict[str, int],
 ) -> Algebra:
+    """The profile's algebra from complete, already validated choices."""
     ops = []
     for sym, arity in prof.signature.symbols:
         if sym == MEET:
-            ops.append((MEET, 2, meet_table_from_choice(P, _normalize_choice(P, "meet", meet))))
+            ops.append((MEET, 2, table_from_choice(P, meet, "meet")))
         elif sym == JOIN:
-            ops.append((JOIN, 2, join_table_from_choice(P, _normalize_choice(P, "join", join))))
+            ops.append((JOIN, 2, table_from_choice(P, join, "join")))
         elif sym == prof.op_symbol and arity == prof.op_arity:
             ops.append((sym, arity, op_table))
         else:
@@ -313,6 +307,8 @@ def assign_algebra(
         raise MissingStructure(
             f"poset is not {prof.class_kind}: witness {cls.witness!r}"
         )
+    join = _normalize_choice(P, "join", join) if prof.needs_join else None
+    meet = _normalize_choice(P, "meet", meet)
     return _build(P, prof, meet, join, cls.table, _constant_values(P, prof, False))
 
 
@@ -440,7 +436,6 @@ def verify_assigned_conditions(
     A: Algebra,
     profile: str | Profile,
     short_circuit: bool = False,
-    budget: int | None = None,
 ) -> dict[str, Report]:
     """Run every characterizing condition of the profile against the algebra."""
     prof = _profile(profile)
@@ -452,7 +447,7 @@ def verify_assigned_conditions(
     for name, formula in conditions_for(prof):
         if short_circuit and failed:
             break
-        report = check_formula(A, formula, budget=budget)
+        report = check_formula(A, formula)
         out[name] = report
         failed = failed or not report.holds
     return out
@@ -506,7 +501,7 @@ class AuditReport:
 def theorem_equivalence_audit(
     P: Poset,
     profile: str | Profile,
-    budget: int = 10_000,
+    budget: int = AUDIT_BUDGET,
     seed: int = 20210,
 ) -> AuditReport:
     """Audit the iff between poset classification and the assigned conditions.
@@ -515,9 +510,13 @@ def theorem_equivalence_audit(
     assignment must satisfy all conditions; when it fails, a best-effort table
     (greatest-or-first-maximal entries, same for constants) must violate some
     condition on every assignment.  Non-directed posets admit no assignment
-    and pass vacuously.  Above ``budget`` assignments a seeded Bernoulli
-    sample is taken instead of the full product.
+    and pass vacuously.  A space of at most ``budget`` assignments is checked
+    whole; a larger one is sampled: exactly ``budget`` distinct indices drawn
+    with the seeded ``random.Random(seed).sample``, decoded and checked in
+    increasing order.  A budget below 1 raises :class:`OrdalgError`.
     """
+    if budget < 1:
+        raise OrdalgError(f"audit budget must be at least 1, got {budget}")
     prof = _profile(profile)
     cls = pc.classify(P, prof.class_kind)
     kind = "lambda" if prof.needs_join else "meet"
@@ -532,13 +531,12 @@ def theorem_equivalence_audit(
     constants = _constant_values(P, prof, best_effort=not cls.holds)
     total = space.count
     sampled = total > budget
-    rng = random.Random(seed)
-    keep = budget / total if sampled else 1.0
+    choices = space
+    if sampled:
+        choices = map(space.decode, sorted(random.Random(seed).sample(range(total), budget)))
     checked = 0
     divergences = []
-    for choice in space:
-        if sampled and rng.random() > keep:
-            continue
+    for choice in choices:
         meet, join = choice if kind == "lambda" else (choice, None)
         A = _build(P, prof, meet, join, table, constants)
         verdict = all_hold(
@@ -554,5 +552,5 @@ def theorem_equivalence_audit(
         checked,
         sampled,
         tuple(divergences),
-        "" if not sampled else f"sampled ~{budget} of {total} assignments",
+        "" if not sampled else f"sampled {budget} of {total} assignments",
     )

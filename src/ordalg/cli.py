@@ -14,6 +14,7 @@ from pathlib import Path
 from . import pc
 from .algebra import Algebra
 from .assign import (
+    AUDIT_BUDGET,
     PROFILES,
     assign_algebra,
     canonical_choice,
@@ -22,7 +23,7 @@ from .assign import (
     verify_assigned_conditions,
 )
 from .congruence import congruence_lattice, congruence_properties, verify_term_conditions
-from .decompose import decompose, direct_product
+from .decompose import ISO_GUARD, decompose, direct_product
 from .dsl import Document, parse, serialize, serialize_algebra, serialize_poset
 from .errors import NotDirected, OrdalgError
 from .fixtures import FIXTURES_TEXT, fixtures
@@ -419,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("audit", help="poset-vs-algebra characterization audit")
     sp.add_argument("file")
     sp.add_argument("--profile", choices=list(PROFILES))
-    sp.add_argument("--budget", type=int, default=10_000)
+    sp.add_argument("--budget", type=int, default=AUDIT_BUDGET)
     common(sp)
     sp.set_defaults(func=_cmd_audit)
 
@@ -435,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="direct decomposition of an algebra")
     sp.add_argument("file")
     sp.add_argument("--name")
-    sp.add_argument("--guard", type=int, default=12)
+    sp.add_argument("--guard", type=int, default=ISO_GUARD)
     common(sp)
     sp.set_defaults(func=_cmd_decompose)
 

@@ -368,11 +368,7 @@ def all_congruences_bruteforce(A: Algebra, guard: int = BRUTE_FORCE_GUARD) -> tu
     return tuple(sorted(out, key=lambda c: c.rep))
 
 
-def congruence_lattice(
-    A: Algebra,
-    validate: bool = False,
-    validate_guard: int = BRUTE_FORCE_GUARD,
-) -> CongruenceLattice:
+def congruence_lattice(A: Algebra, validate: bool = False) -> CongruenceLattice:
     """All congruences with join/meet tables and the Hasse relation.
 
     Generation joins principal congruences (see ``_generate_congruences``)
@@ -393,15 +389,15 @@ def congruence_lattice(
     validated = False
     note = ""
     if validate:
-        if A.n <= validate_guard:
-            brute = list(all_congruences_bruteforce(A, validate_guard))
+        if A.n <= BRUTE_FORCE_GUARD:
+            brute = list(all_congruences_bruteforce(A))
             if brute != cons:
                 raise AssertionError(
                     "closure-generated congruences disagree with the partition scan"
                 )
             validated = True
         else:
-            note = f"carrier {A.n} exceeds validation guard {validate_guard}; scan skipped"
+            note = f"carrier {A.n} exceeds validation guard {BRUTE_FORCE_GUARD}; scan skipped"
     n, k = A.n, len(cons)
     masks = [
         sum(block << (n * a) for a, block in enumerate(c.block_masks())) for c in cons

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import JOIN, MEET, Algebra
-from .assign import _normalize_choice, _table_from_choice, canonical_choice
+from .assign import _normalize_choice, canonical_choice, table_from_choice
 from .errors import InvalidChoice, OrdalgError, ParseError
 from .poset import Poset, build_poset
 
@@ -159,7 +159,7 @@ class _Parser:
                 choice = _normalize_choice(P, kind, choice)
             except InvalidChoice as e:
                 raise ParseError(line, str(e)) from e
-            ops.append((sym, 2, _table_from_choice(P, choice, kind)))
+            ops.append((sym, 2, table_from_choice(P, choice, kind)))
 
         for sym, arity, payload, line in b.ops:
             if arity == 0:

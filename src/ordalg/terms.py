@@ -13,7 +13,6 @@ interpreter used to re-validate reported witnesses independently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -24,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .algebra import Algebra
 
 DEFAULT_BUDGET = 10**9
-BUDGET_ENV_VAR = "ORDALG_BUDGET"
 
 
 # -- terms -------------------------------------------------------------------
@@ -198,15 +196,6 @@ def formula_cost(node: Node, n: int) -> int:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def effective_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
 # -- slow path: public term evaluation and witness re-evaluation -------------
 
 
@@ -337,18 +326,15 @@ def check_formula(A: "Algebra", f: Formula, budget: int | None = None) -> Report
     Outer assignments are enumerated row-major in the declared variable order,
     so a failing report always carries the lexicographically first
     counterexample.  The assignment-count estimate is compared against the
-    budget (``ORDALG_BUDGET`` overrides the default) before any work starts.
+    budget (``DEFAULT_BUDGET`` when none is given) before any work starts.
     """
     if not isinstance(f, Forall):
         raise TypeError("expected a top-level quantified formula")
     validate_formula(A, f)
-    limit = effective_budget(budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
     cost = formula_cost(f, A.n)
     if cost > limit:
-        raise BudgetExceeded(
-            f"estimated {cost} assignments exceeds budget {limit}; "
-            f"raise the budget or set {BUDGET_ENV_VAR}"
-        )
+        raise BudgetExceeded(f"estimated {cost} assignments exceeds budget {limit}")
     slots = {v: i for i, v in enumerate(f.vars)}
     body = _compile_node(A, f.body, slots, len(f.vars))
     env = [0] * _total_depth(f)

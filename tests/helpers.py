@@ -8,15 +8,13 @@ values are checked through a second, dumber route.
 
 from __future__ import annotations
 
+from itertools import product
+
 from hypothesis import strategies as st
 
 from ordalg import Poset, build_poset
 from ordalg.algebra import JOIN, MEET, Algebra
-from ordalg.assign import (
-    canonical_choice,
-    join_table_from_choice,
-    meet_table_from_choice,
-)
+from ordalg.assign import canonical_choice, table_from_choice
 from ordalg.congruence import join2, meet2
 from ordalg.enumeration import default_labels
 from ordalg.poset import closure_rows
@@ -47,6 +45,24 @@ def raw_greatest(P: Poset, members: set[int]) -> int | None:
     return None
 
 
+def product_choices(P: Poset, kind: str) -> list | None:
+    """Every cone choice in ``itertools.product`` order, by plain loops over
+    ``leq``; ``None`` when some cone is empty.  λ choices are (meet, join)
+    pairs with meet varying slowest."""
+    pairs = [(x, y) for x in range(P.n) for y in range(x + 1, P.n)
+             if not P.leq(x, y) and not P.leq(y, x)]
+    if kind == "lambda":
+        meets, joins = product_choices(P, "meet"), product_choices(P, "join")
+        if meets is None or joins is None:
+            return None
+        return list(product(meets, joins))
+    raw = raw_lower if kind == "meet" else raw_upper
+    cones = [sorted(raw(P, {x, y})) for x, y in pairs]
+    if not all(cones):
+        return None
+    return [dict(zip(pairs, values)) for values in product(*cones)]
+
+
 def poset_from_index_pairs(n: int, pairs) -> Poset:
     """Poset from edges i<j (index order), via closure; always acyclic."""
     up = [0] * n
@@ -65,12 +81,12 @@ def poset_from_index_pairs(n: int, pairs) -> Poset:
 
 def meet_directoid(P: Poset, choice=None) -> Algebra:
     c = canonical_choice(P, "meet") if choice is None else choice
-    return Algebra(P.labels, [(MEET, 2, meet_table_from_choice(P, c))])
+    return Algebra(P.labels, [(MEET, 2, table_from_choice(P, c, "meet"))])
 
 
 def join_directoid(P: Poset, choice=None) -> Algebra:
     c = canonical_choice(P, "join") if choice is None else choice
-    return Algebra(P.labels, [(JOIN, 2, join_table_from_choice(P, c))])
+    return Algebra(P.labels, [(JOIN, 2, table_from_choice(P, c, "join"))])
 
 
 def lambda_algebra(P: Poset, meet=None, join=None) -> Algebra:
@@ -79,8 +95,8 @@ def lambda_algebra(P: Poset, meet=None, join=None) -> Algebra:
     return Algebra(
         P.labels,
         [
-            (JOIN, 2, join_table_from_choice(P, jc)),
-            (MEET, 2, meet_table_from_choice(P, mc)),
+            (JOIN, 2, table_from_choice(P, jc, "join")),
+            (MEET, 2, table_from_choice(P, mc, "meet")),
         ],
     )
 

@@ -7,6 +7,7 @@ from helpers import (
     join_directoid,
     lambda_algebra,
     posets,
+    product_choices,
     raw_lower,
     raw_upper,
 )
@@ -24,7 +25,14 @@ from ordalg import (
     verify_derived_identities,
 )
 from ordalg.algebra import MEET, STAR, ZERO
-from ordalg.errors import InvalidChoice, MissingChoice, MissingStructure, NotDirected
+from ordalg.assign import ChoiceSpace
+from ordalg.errors import (
+    InvalidChoice,
+    MissingChoice,
+    MissingStructure,
+    NotDirected,
+    OrdalgError,
+)
 from ordalg.poset import directedness
 from ordalg.terms import all_hold
 
@@ -78,6 +86,33 @@ def test_enumeration_is_lexicographic(fig1):
     c, d = idx(fig1, "c", "d")
     values = [choice[(c, d)] for choice in enumerate_choices(fig1, "meet")]
     assert values == sorted(values)
+
+
+def test_decode_matches_product_order():
+    # every poset with n <= 6, each kind: index i decodes to the i-th tuple of
+    # itertools.product over the cones (meet pairs, then join pairs, last fastest)
+    spaces = 0
+    for n in range(1, 7):
+        for P in all_posets(n):
+            for kind in ("meet", "join", "lambda"):
+                expected = product_choices(P, kind)
+                if expected is None:
+                    with pytest.raises(NotDirected):
+                        enumerate_choices(P, kind)
+                    continue
+                space = enumerate_choices(P, kind)
+                assert space.count == len(expected)
+                assert [space.decode(i) for i in range(space.count)] == expected
+                assert list(space) == expected
+                spaces += 1
+    assert spaces == 202
+
+
+def test_decode_rejects_out_of_range(fig1):
+    space = enumerate_choices(fig1, "lambda")
+    for index in (-1, space.count):
+        with pytest.raises(IndexError):
+            space.decode(index)
 
 
 # -- assignment -------------------------------------------------------------------
@@ -226,8 +261,58 @@ def test_audit_fig4_vacuous(fig4):
 
 def test_audit_budget_sampling(fig2):
     rep = theorem_equivalence_audit(fig2, "pc", budget=10)
-    assert rep.sampled and 0 < rep.assignments_checked < rep.assignments_total
-    assert rep.holds
+    assert rep.sampled and rep.assignments_checked == 10 < rep.assignments_total
+    assert rep.holds and rep.note == "sampled 10 of 48 assignments"
+
+
+def _decoded_indices(monkeypatch):
+    seen = []
+    decode = ChoiceSpace.decode
+
+    def recording(self, index):
+        seen.append(index)
+        return decode(self, index)
+
+    monkeypatch.setattr(ChoiceSpace, "decode", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name, profile, budget", [("fig2", "pc", 10), ("fig2", "stone", 50),
+                                                   ("fig5", "sspc", 7), ("fig3", "rpc", 5)])
+def test_audit_samples_exactly_budget(figs, monkeypatch, name, profile, budget):
+    P = figs.posets[name]
+    seen = _decoded_indices(monkeypatch)
+    rep = theorem_equivalence_audit(P, profile, budget=budget)
+    assert rep.sampled and rep.holds
+    assert rep.assignments_checked == budget == len(set(seen))
+    assert seen == sorted(seen) and 0 <= seen[0] and seen[-1] < rep.assignments_total
+    first = list(seen)
+    seen.clear()
+    assert theorem_equivalence_audit(P, profile, budget=budget) == rep
+    assert seen == first  # same seed, same assignments
+    seen.clear()
+    theorem_equivalence_audit(P, profile, budget=budget, seed=1)
+    assert len(seen) == budget and seen != first
+
+
+def test_audit_exhaustive_at_budget(fig2, monkeypatch):
+    seen = _decoded_indices(monkeypatch)
+    rep = theorem_equivalence_audit(fig2, "pc", budget=48)
+    assert not rep.sampled and rep.note == ""
+    assert rep.assignments_checked == rep.assignments_total == 48
+    assert seen == list(range(48))
+
+
+def test_audit_fig3_lambda_sampled(fig3):
+    rep = theorem_equivalence_audit(fig3, "stone", budget=20)
+    assert rep.assignments_total == 429_981_696
+    assert rep.sampled and rep.assignments_checked == 20 and rep.holds
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_audit_rejects_budget_below_one(fig2, budget):
+    with pytest.raises(OrdalgError, match="at least 1"):
+        theorem_equivalence_audit(fig2, "pc", budget=budget)
 
 
 @given(posets(max_n=5))

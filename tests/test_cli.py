@@ -100,6 +100,14 @@ def test_audit_fig1(fig1_file, capsys):
     assert code == 0 and "OK" in out and "3/3" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_audit_budget_below_one(corpus, capsys, budget):
+    code = run_cli(["audit", corpus, "--profile=pc", "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "audit budget must be at least 1" in captured.err
+
+
 def test_con_props_terms(corpus, capsys):
     code = run_cli(
         ["con", corpus, "--name", "fig1_rpc", "--props", "--terms", "--unit", "1"]

@@ -23,7 +23,7 @@ from ordalg import (
     verify_term_conditions,
 )
 from ordalg.algebra import MEET, STAR, ZERO
-from ordalg.congruence import join2, meet2
+from ordalg.congruence import BRUTE_FORCE_GUARD, join2, meet2
 from ordalg.errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
 from ordalg.terms import all_hold
 
@@ -96,8 +96,10 @@ def test_lattice_fig1_cross_validated(figs):
 
 
 def test_lattice_validation_guard_flags(figs):
-    A = assign_algebra(figs.posets["fig3"], "stone")
-    lat = congruence_lattice(A, validate=True, validate_guard=6)
+    chain = build_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    A = direct_product(assign_algebra(figs.posets["fig1"], "rpc"), assign_algebra(chain, "rpc"))
+    assert A.n == 18 > BRUTE_FORCE_GUARD
+    lat = congruence_lattice(A, validate=True)
     assert not lat.validated and "guard" in lat.note
 
 

@@ -122,13 +122,6 @@ def test_budget_guard(fig1_pc):
         check_formula(fig1_pc, f, budget=100)
 
 
-def test_budget_env_override(fig1_pc, monkeypatch):
-    monkeypatch.setenv("ORDALG_BUDGET", "10")
-    f = Forall(("x", "y"), Eq(m(X, Y), m(Y, X)))
-    with pytest.raises(BudgetExceeded):
-        check_formula(fig1_pc, f)
-
-
 def test_report_invariants():
     with pytest.raises(ValueError):
         Report(True, {"x": 0})
