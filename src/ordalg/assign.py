@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import pc
 from .algebra import CIRC, JOIN, MEET, ONE, STAR, ZERO, Algebra, Signature
@@ -302,14 +303,45 @@ def assign_algebra(
     when the required directoid does not exist.
     """
     prof = _profile(profile)
+    table = _class_table(P, prof)
+    join = _normalize_choice(P, "join", join) if prof.needs_join else None
+    meet = _normalize_choice(P, "meet", meet)
+    return _build(P, prof, meet, join, table, _constant_values(P, prof, False))
+
+
+def enumerate_assignments(
+    P: Poset, profile: str | Profile
+) -> tuple[ChoiceSpace, Iterator[Algebra]]:
+    """The profile's choice space, and lazily the assigned algebra of each of
+    its choices in index order.
+
+    The space raises :class:`NotDirected` at once.  The poset is classified
+    once, when the first algebra is drawn, and raises as in
+    :func:`assign_algebra`; the space's own choices need no validation.
+    """
+    prof = _profile(profile)
+    kind = "lambda" if prof.needs_join else "meet"
+    space = enumerate_choices(P, kind)
+
+    def algebras() -> Iterator[Algebra]:
+        table = _class_table(P, prof)
+        constants = _constant_values(P, prof, False)
+        for choice in space:
+            meet, join = choice if kind == "lambda" else (choice, None)
+            yield _build(P, prof, meet, join, table, constants)
+
+    return space, algebras()
+
+
+def _class_table(P: Poset, prof: Profile):
+    """The profile's derived operation table; :class:`MissingStructure` when
+    the poset is not in the profile's class."""
     cls = pc.classify(P, prof.class_kind)
     if not cls.holds:
         raise MissingStructure(
             f"poset is not {prof.class_kind}: witness {cls.witness!r}"
         )
-    join = _normalize_choice(P, "join", join) if prof.needs_join else None
-    meet = _normalize_choice(P, "meet", meet)
-    return _build(P, prof, meet, join, cls.table, _constant_values(P, prof, False))
+    return cls.table
 
 
 def cone_via_directoid(A: Algebra, a: int, b: int, kind: str = "meet") -> frozenset[int]:
@@ -498,6 +530,22 @@ class AuditReport:
         return not self.divergences
 
 
+def _sample_indices(rng: random.Random, total: int, budget: int) -> list[int]:
+    """``budget`` distinct indices from ``range(total)``, sorted, in O(budget).
+
+    Floyd's algorithm (Bentley, "Programming Pearls: A sample of
+    brilliance", CACM 30, 1987): for each j in the last ``budget`` values of
+    the range, draw t from ``range(j + 1)`` and keep t, or j when t is
+    already kept.  Every ``budget``-subset is equally likely, and ``total``
+    may exceed ``sys.maxsize``, which ``random.sample`` cannot take.
+    """
+    chosen: set[int] = set()
+    for j in range(total - budget, total):
+        t = rng.randrange(j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
 def theorem_equivalence_audit(
     P: Poset,
     profile: str | Profile,
@@ -512,8 +560,10 @@ def theorem_equivalence_audit(
     condition on every assignment.  Non-directed posets admit no assignment
     and pass vacuously.  A space of at most ``budget`` assignments is checked
     whole; a larger one is sampled: exactly ``budget`` distinct indices drawn
-    with the seeded ``random.Random(seed).sample``, decoded and checked in
-    increasing order.  A budget below 1 raises :class:`OrdalgError`.
+    by :func:`_sample_indices` from ``random.Random(seed)``, decoded and
+    checked in increasing order.  That works for spaces of any size; a given
+    seed draws other indices than the ``random.sample`` this replaced.  A
+    budget below 1 raises :class:`OrdalgError`.
     """
     if budget < 1:
         raise OrdalgError(f"audit budget must be at least 1, got {budget}")
@@ -533,7 +583,7 @@ def theorem_equivalence_audit(
     sampled = total > budget
     choices = space
     if sampled:
-        choices = map(space.decode, sorted(random.Random(seed).sample(range(total), budget)))
+        choices = map(space.decode, _sample_indices(random.Random(seed), total, budget))
     checked = 0
     divergences = []
     for choice in choices:

@@ -18,7 +18,7 @@ from .assign import (
     PROFILES,
     assign_algebra,
     canonical_choice,
-    enumerate_choices,
+    enumerate_assignments,
     theorem_equivalence_audit,
     verify_assigned_conditions,
 )
@@ -153,20 +153,16 @@ def _cmd_assign(args) -> int:
     emitted = []
     lines = []
     if args.enumerate:
-        kind = "lambda" if prof.needs_join else "meet"
-        space = enumerate_choices(P, kind)
+        space, algebras = enumerate_assignments(P, prof)
         lines.append(f"# {space.count} assignments for profile {args.profile}")
-        count = 0
-        for choice in space:
+        for count in range(space.count):
             if args.limit and count >= args.limit:
                 lines.append(f"# ... truncated at --limit={args.limit}")
                 break
-            meet, join = choice if kind == "lambda" else (choice, None)
-            A = assign_algebra(P, prof, meet=meet, join=join)
+            A = next(algebras)
             aname = f"{pname}_{args.profile}_{count}"
             emitted.append({"name": aname, **A.to_json()})
             lines.append(serialize_algebra(aname, A, pname))
-            count += 1
     else:
         meet, join = _parse_choice_args(P, args.choice)
         full_meet = dict(canonical_choice(P, "meet"))

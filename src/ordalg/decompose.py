@@ -22,6 +22,7 @@ from .congruence import (
     meet2,
     normalize_partition,
 )
+from .enumeration import refine_colours
 from .errors import NotACongruence, SignatureMismatch, SizeGuardExceeded
 
 ISO_GUARD = 12
@@ -195,8 +196,9 @@ def decompose(A: Algebra, guard: int = ISO_GUARD) -> Decomposition:
 
 
 def _refine_colors(A1: Algebra, A2: Algebra) -> tuple[list[int], list[int]]:
-    """Joint colour refinement; equal colours are necessary for iso images."""
-    n1, n2 = A1.n, A2.n
+    """Colour refinement of the disjoint union of A1 and A2; equal colours
+    are necessary for iso images."""
+    n1 = A1.n
 
     def initial(A: Algebra):
         cols = []
@@ -208,30 +210,23 @@ def _refine_colors(A1: Algebra, A2: Algebra) -> tuple[list[int], list[int]]:
             cols.append(tuple(parts))
         return cols
 
-    def step(A: Algebra, r: list[int]):
+    def step(ranks: list[int]):
         out = []
-        for x in range(A.n):
-            parts: list = [r[x]]
-            for (name, arity), table in zip(A.signature.symbols, A.tables):
-                if arity == 1:
-                    parts.append(r[table[x]])
-                elif arity == 2:
-                    parts.append(tuple(sorted((r[table[x][y]], r[y]) for y in range(A.n))))
-                    parts.append(tuple(sorted((r[table[y][x]], r[y]) for y in range(A.n))))
-            out.append(tuple(parts))
+        for A, r in ((A1, ranks[:n1]), (A2, ranks[n1:])):
+            for x in range(A.n):
+                parts: list = [r[x]]
+                for (name, arity), table in zip(A.signature.symbols, A.tables):
+                    if arity == 1:
+                        parts.append(r[table[x]])
+                    elif arity == 2:
+                        parts.append(tuple(sorted((r[table[x][y]], r[y]) for y in range(A.n))))
+                        parts.append(tuple(sorted((r[table[y][x]], r[y]) for y in range(A.n))))
+                out.append(tuple(parts))
         return out
 
-    c1, c2 = initial(A1), initial(A2)
-    while True:
-        # colours within one round share a shape, so plain tuple order works
-        order = {v: i for i, v in enumerate(sorted(set(c1) | set(c2)))}
-        r1 = [order[v] for v in c1]
-        r2 = [order[v] for v in c2]
-        n1c, n2c = step(A1, r1), step(A2, r2)
-        # refinement only ever splits classes; a stable count means a fixpoint
-        if len(set(n1c) | set(n2c)) == len(set(c1) | set(c2)):
-            return r1, r2
-        c1, c2 = n1c, n2c
+    # colours within one round share a shape, so plain tuple order works
+    ranks = refine_colours(initial(A1) + initial(A2), step)
+    return ranks[:n1], ranks[n1:]
 
 
 def find_isomorphism(

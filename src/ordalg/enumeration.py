@@ -2,10 +2,20 @@
 
 Canonical forms use iterated colour refinement followed by a class-respecting
 min-lex backtracking search, so two posets get equal keys exactly when they
-are order-isomorphic.  Enumeration grows posets one maximal element at a time:
-every n-poset arises from an (n-1)-poset by attaching a new maximal element
-above a down-set, so extending every smaller poset by every down-set and
-deduplicating by canonical key is exhaustive.
+are order-isomorphic.  The search tries only one of each set of incomparable
+twins (elements with equal strict down- and up-sets) at a position: swapping
+two twins is an automorphism fixing every placed element, so the least
+signature is the same either way.
+
+Enumeration is by canonical augmentation (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  Every n-poset Q is some
+(n-1)-poset P plus a new maximal element v above a down-set of P.  Among the
+maximal elements of Q with the largest down-set and, after that, the largest
+refined colour, the canonical deletions are those w whose Q - w has the least
+key.  Q is kept from (P, v) only when v is one of them, so every Q comes from
+exactly one listed parent, and only that parent's children need deduplicating.
+Most candidates fail on down-set sizes alone, and a twin of v needs no key,
+since deleting it leaves a copy of P.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from string import ascii_lowercase
+from typing import Callable
 
 from .poset import Poset, bits, closure_rows
 
@@ -23,24 +34,45 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-def _compress(values: list) -> list[int]:
+def refine_colours(colours: list, step: Callable[[list[int]], list]) -> list[int]:
+    """Iterated colour refinement to its fixpoint, as ranks ``0..k-1``.
+
+    ``colours`` are the elements' initial colours, mutually comparable.
+    ``step(ranks)`` gives each element's next colour, a tuple whose first
+    entry is its current rank, so a round can only split classes: once a
+    round splits none, or every element has a colour of its own, the ranks
+    are final.  Ranks follow the sorted order of the colours they stand for.
+    """
+    ranks, count = _compress(colours)
+    while count < len(ranks):
+        fresh, fresh_count = _compress(step(ranks))
+        if fresh_count == count:
+            break
+        ranks, count = fresh, fresh_count
+    return ranks
+
+
+def _compress(values: list) -> tuple[list[int], int]:
     order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [order[v] for v in values]
+    return [order[v] for v in values], len(order)
 
 
 def _refined_ranks(P: Poset) -> list[int]:
     n = P.n
-    ranks = _compress([(P.down[x].bit_count(), P.up[x].bit_count()) for x in range(n)])
-    while True:
-        fresh = []
-        for x in range(n):
-            below = tuple(sorted(ranks[y] for y in bits(P.down[x] ^ (1 << x))))
-            above = tuple(sorted(ranks[y] for y in bits(P.up[x] ^ (1 << x))))
-            fresh.append((ranks[x], below, above))
-        new_ranks = _compress(fresh)
-        if new_ranks == ranks:
-            return ranks
-        ranks = new_ranks
+    below = [list(bits(P.down[x] ^ (1 << x))) for x in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for x in range(n):
+        for y in below[x]:
+            above[y].append(x)
+
+    def step(ranks: list[int]) -> list[tuple]:
+        at = ranks.__getitem__
+        return [
+            (ranks[x], tuple(sorted(map(at, below[x]))), tuple(sorted(map(at, above[x]))))
+            for x in range(n)
+        ]
+
+    return refine_colours([(P.down[x].bit_count(), P.up[x].bit_count()) for x in range(n)], step)
 
 
 def canonical_key(P: Poset) -> tuple:
@@ -53,6 +85,8 @@ def canonical_key(P: Poset) -> tuple:
     class_of_pos: list[list[int]] = []
     for r in sorted(classes):
         class_of_pos.extend([classes[r]] * len(classes[r]))
+    down, up = P.down, P.up
+    shape = [(down[v] ^ (1 << v), up[v] ^ (1 << v)) for v in range(n)]
 
     best: list[tuple] = [()]
     used = [False] * n
@@ -63,15 +97,17 @@ def canonical_key(P: Poset) -> tuple:
             if not best[0] or sig < best[0]:
                 best[0] = sig
             return
+        tried = set()
         for v in class_of_pos[pos]:
-            if used[v]:
+            if used[v] or shape[v] in tried:
                 continue
+            tried.add(shape[v])
+            up_v, down_v = up[v], down[v]
             code = 0
             for j, w in enumerate(order):
-                code |= P.leq(v, w) << (2 * j)
-                code |= P.leq(w, v) << (2 * j + 1)
+                code |= ((up_v >> w & 1) | (down_v >> w & 1) << 1) << (2 * j)
             nsig = sig + (code,)
-            if best[0] and len(best[0]) >= len(nsig) and nsig > best[0][: len(nsig)]:
+            if best[0] and nsig > best[0][: pos + 1]:
                 continue
             used[v] = True
             order.append(v)
@@ -88,12 +124,16 @@ def are_isomorphic(P: Poset, Q: Poset) -> bool:
 
 
 def down_set_masks(P: Poset) -> list[int]:
-    """All down-sets (order ideals) of P as bitsets, including 0 and P."""
-    out = []
-    for m in range(1 << P.n):
-        if all(P.down[x] & ~m == 0 for x in bits(m)):
-            out.append(m)
-    return out
+    """All down-sets (order ideals) of P as bitsets, including 0 and P, ascending.
+
+    Elements are added in a linear extension (by down-set size): a down-set
+    may take the next element exactly when it holds everything below it.
+    """
+    out = [0]
+    for x in sorted(range(P.n), key=lambda x: P.down[x].bit_count()):
+        below = P.down[x] ^ (1 << x)
+        out += [m | 1 << x for m in out if below & ~m == 0]
+    return sorted(out)
 
 
 def _with_new_maximal(P: Poset, ideal: int) -> Poset:
@@ -102,19 +142,58 @@ def _with_new_maximal(P: Poset, ideal: int) -> Poset:
     return Poset(default_labels(n), down)
 
 
+def _without_maximal(Q: Poset, w: int) -> Poset:
+    """Q - w for a maximal w; no other row holds w, so rows only shift."""
+    low = (1 << w) - 1
+    down = tuple((d & low) | (d >> 1 & ~low) for x, d in enumerate(Q.down) if x != w)
+    return Poset(default_labels(Q.n - 1), down)
+
+
+def _children(P: Poset) -> dict[tuple, Poset]:
+    """The one-element extensions P + v that canonical augmentation keeps,
+    by key; v is the new last element, maximal above a down-set of P."""
+    v = P.n
+    size = [P.down[w].bit_count() for w in range(v)]
+    maximal = [w for w in range(v) if P.up[w] == 1 << w]
+    parent_key: tuple = ()  # computed when first needed
+    children: dict[tuple, Poset] = {}
+    for ideal in down_set_masks(P):
+        height = ideal.bit_count() + 1
+        rivals = [w for w in maximal if not ideal >> w & 1]
+        if any(size[w] > height for w in rivals):
+            continue
+        Q = _with_new_maximal(P, ideal)
+        ties = [w for w in rivals if size[w] == height]
+        if ties:
+            ranks = _refined_ranks(Q)
+            if any(ranks[w] > ranks[v] for w in ties):
+                continue
+            # a twin w of v (same down-set) has Q - w isomorphic to Q - v = P
+            others = [w for w in ties if ranks[w] == ranks[v] and P.down[w] ^ (1 << w) != ideal]
+            if others:
+                parent_key = parent_key or canonical_key(P)
+                if any(canonical_key(_without_maximal(Q, w)) < parent_key for w in others):
+                    continue
+        children.setdefault(canonical_key(Q), Q)
+    return children
+
+
 @lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple[Poset, ...]:
-    """All posets on n elements up to isomorphism, in canonical-key order."""
+    """All posets on n elements up to isomorphism, in canonical-key order.
+
+    Each poset is grown from one (n-1)-poset by canonical augmentation (see
+    the module docstring); its labelling is the parent's plus the new
+    maximal element last.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (Poset(("a",), (1,)),)
-    seen: dict[tuple, Poset] = {}
+    found: list[tuple[tuple, Poset]] = []
     for P in all_posets(n - 1):
-        for ideal in down_set_masks(P):
-            Q = _with_new_maximal(P, ideal)
-            seen.setdefault(canonical_key(Q), Q)
-    return tuple(Q for _, Q in sorted(seen.items()))
+        found.extend(_children(P).items())
+    return tuple(Q for _, Q in sorted(found))
 
 
 def random_poset(rng: random.Random, n: int, edge_prob: float = 0.5) -> Poset:

@@ -326,20 +326,39 @@ def is_distributive(P: Poset) -> DistributivityReport:
     Both the defining equality U(L(x,y),z) = UL(U(x,z),U(y,z)) and its dual
     are checked at every triple; as universally quantified statements the two
     are equivalent, but the first failing triple can differ between them, so
-    the witness reports which equality broke there.
+    the witness reports which equality broke there.  Both equalities are
+    symmetric in x and y, so only x <= y (as indices) is visited: the first
+    failing triple in (x, y, z) order never has x > y.  The UL and LU
+    closures of each mask are computed once per call.
     """
     n = P.n
-    for x, y, z in product(range(n), repeat=3):
-        for dual, name in ((False, _PRIMARY_EQ), (True, _DUAL_EQ)):
-            holds, lhs, rhs = _check_triple(P, x, y, z, dual)
-            if not holds:
-                return DistributivityReport(
-                    False,
-                    (x, y, z),
-                    name,
-                    frozenset(bits(lhs)),
-                    frozenset(bits(rhs)),
-                )
+    down, up = P.down, P.up
+    ul: dict[int, int] = {}
+    lu: dict[int, int] = {}
+    # U(S ∪ {z}) = U(S) ∩ up[z], and U(x,z) ∪ U(y,z) = (up[x] ∪ up[y]) ∩ up[z]
+    for x in range(n):
+        for y in range(x, n):
+            u_lxy = P.upper_mask(down[x] & down[y])
+            l_uxy = P.lower_mask(up[x] & up[y])
+            u_xy, l_xy = up[x] | up[y], down[x] | down[y]
+            for z in range(n):
+                lhs = u_lxy & up[z]
+                m = u_xy & up[z]
+                rhs = ul.get(m)
+                if rhs is None:
+                    rhs = ul[m] = P.upper_mask(P.lower_mask(m))
+                name = _PRIMARY_EQ
+                if lhs == rhs:
+                    lhs = l_uxy & down[z]
+                    m = l_xy & down[z]
+                    rhs = lu.get(m)
+                    if rhs is None:
+                        rhs = lu[m] = P.lower_mask(P.upper_mask(m))
+                    name = _DUAL_EQ
+                if lhs != rhs:
+                    return DistributivityReport(
+                        False, (x, y, z), name, frozenset(bits(lhs)), frozenset(bits(rhs))
+                    )
     return DistributivityReport(True)
 
 

@@ -1,14 +1,18 @@
 """Shared test utilities: independent oracles and hypothesis strategies.
 
 The oracle functions deliberately avoid the library's bitset fast paths:
-cones are recomputed with plain double loops over ``leq``, and congruence
-lattice tables with ``join2``/``meet2`` and plain scans, so that golden
-values are checked through a second, dumber route.
+cones are recomputed with plain double loops over ``leq``, congruence
+lattice tables with ``join2``/``meet2`` and plain scans, canonical keys by
+an unpruned backtracking, and the list of posets by keying every one-element
+extension of every smaller poset, so that golden values are checked through
+a second, dumber route.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from string import ascii_lowercase
 
 from hypothesis import strategies as st
 
@@ -17,7 +21,14 @@ from ordalg.algebra import JOIN, MEET, Algebra
 from ordalg.assign import canonical_choice, table_from_choice
 from ordalg.congruence import join2, meet2
 from ordalg.enumeration import default_labels
-from ordalg.poset import closure_rows
+from ordalg.poset import (
+    _DUAL_EQ,
+    _PRIMARY_EQ,
+    DistributivityReport,
+    _check_triple,
+    bits,
+    closure_rows,
+)
 
 
 def idx(P: Poset, *labels: str):
@@ -117,6 +128,14 @@ def posets(draw, min_n: int = 1, max_n: int = 6):
     return poset_from_index_pairs(n, pairs)
 
 
+def wide_poset() -> Poset:
+    """0 below six atoms l0-l5, each below all six coatoms u0-u5, below 1:
+    a λ-space of 7^30 assignments, more than ``sys.maxsize``."""
+    lows, highs = [f"l{i}" for i in range(6)], [f"u{i}" for i in range(6)]
+    pairs = [("0", l) for l in lows] + [(l, u) for l in lows for u in highs]
+    return build_poset(["0", *lows, *highs, "1"], pairs + [(u, "1") for u in highs])
+
+
 @st.composite
 def bounded_posets(draw, max_inner: int = 4):
     """Posets with forced bottom and top (hence directed)."""
@@ -158,3 +177,122 @@ def distributive_oracle(join_t, meet_t) -> bool:
         for j in range(k)
         for m in range(k)
     )
+
+
+def _oracle_ranks(P: Poset) -> list[int]:
+    def compress(values):
+        order = {v: i for i, v in enumerate(sorted(set(values)))}
+        return [order[v] for v in values]
+
+    ranks = compress([(P.down[x].bit_count(), P.up[x].bit_count()) for x in range(P.n)])
+    while True:
+        fresh = compress([
+            (
+                ranks[x],
+                tuple(sorted(ranks[y] for y in range(P.n) if y != x and P.leq(y, x))),
+                tuple(sorted(ranks[y] for y in range(P.n) if y != x and P.leq(x, y))),
+            )
+            for x in range(P.n)
+        ])
+        if fresh == ranks:
+            return ranks
+        ranks = fresh
+
+
+def canonical_key_oracle(P: Poset) -> tuple:
+    """The canonical key by refinement to a fixpoint and a backtracking that
+    tries every unused element of the position's class (no twin pruning)."""
+    n = P.n
+    ranks = _oracle_ranks(P)
+    sizes = [ranks.count(r) for r in range(max(ranks) + 1)]
+    slots = [[x for x in range(n) if ranks[x] == r] for r in range(len(sizes)) for _ in range(sizes[r])]
+    best: list[tuple] = []
+
+    def place(order: list[int], sig: tuple) -> None:
+        if len(order) == n:
+            if not best or sig < best[0]:
+                best[:] = [sig]
+            return
+        for v in slots[len(order)]:
+            if v in order:
+                continue
+            code = sum(
+                P.leq(v, w) << (2 * j) | P.leq(w, v) << (2 * j + 1)
+                for j, w in enumerate(order)
+            )
+            nsig = sig + (code,)
+            if best and nsig > best[0][: len(nsig)]:
+                continue
+            place(order + [v], nsig)
+
+    place([], ())
+    return (n, tuple(sizes)) + best[0]
+
+
+@lru_cache(maxsize=None)
+def all_posets_oracle(n: int) -> tuple[tuple, ...]:
+    """Canonical keys of the n-posets, ascending: every poset of ``n - 1``
+    elements extended by a new maximal element above each of its down-sets,
+    keyed by :func:`canonical_key_oracle` and deduplicated."""
+    if n == 1:
+        return (canonical_key_oracle(Poset(["a"], [1])),)
+    labels = ascii_lowercase[:n]
+    keys = set()
+    for key in all_posets_oracle(n - 1):
+        P = poset_from_key(key)
+        for ideal in range(1 << P.n):
+            if all(P.down[x] & ~ideal == 0 for x in bits(ideal)):
+                keys.add(canonical_key_oracle(Poset(labels, P.down + (ideal | 1 << P.n,))))
+    return tuple(sorted(keys))
+
+
+def poset_from_key(key: tuple) -> Poset:
+    """The poset a canonical key encodes, in its canonical labelling."""
+    n, codes = key[0], key[2:]
+    down = [1 << i for i in range(n)]
+    for i, code in enumerate(codes):
+        for j in range(i):
+            if code >> (2 * j) & 1:  # i <= j
+                down[j] |= 1 << i
+            if code >> (2 * j + 1) & 1:  # j <= i
+                down[i] |= 1 << j
+    return Poset(ascii_lowercase[:n], down)
+
+
+def distributivity_oracle(P: Poset) -> DistributivityReport:
+    """Both cone equalities at every triple in (x, y, z) order, primary
+    first; the first failure is the report."""
+    for x, y, z in product(range(P.n), repeat=3):
+        for dual, name in ((False, _PRIMARY_EQ), (True, _DUAL_EQ)):
+            holds, lhs, rhs = _check_triple(P, x, y, z, dual)
+            if not holds:
+                return DistributivityReport(
+                    False, (x, y, z), name, frozenset(bits(lhs)), frozenset(bits(rhs))
+                )
+    return DistributivityReport(True)
+
+
+@st.composite
+def twin_posets(draw, max_n: int = 6):
+    """Posets with many incomparable twins: each element of a small base
+    poset is replaced by an antichain of up to three copies (one base
+    element gives an antichain)."""
+    base = draw(posets(max_n=4))
+    copies = [draw(st.integers(1, 3)) for _ in range(base.n)]
+    owner = [x for x in range(base.n) for _ in range(copies[x])][:max_n]
+    pairs = [
+        (i, j)
+        for i in range(len(owner))
+        for j in range(i + 1, len(owner))
+        if owner[i] != owner[j] and base.leq(owner[i], owner[j])
+    ]
+    return poset_from_index_pairs(len(owner), pairs)
+
+
+def relabel(P: Poset, perm: list[int]) -> Poset:
+    """P with element x renamed perm[x]."""
+    down = [0] * P.n
+    for x in range(P.n):
+        for y in bits(P.down[x]):
+            down[perm[x]] |= 1 << perm[y]
+    return Poset(P.labels, down)

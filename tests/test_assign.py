@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -10,6 +13,7 @@ from helpers import (
     product_choices,
     raw_lower,
     raw_upper,
+    wide_poset,
 )
 from ordalg import (
     PROFILES,
@@ -25,7 +29,7 @@ from ordalg import (
     verify_derived_identities,
 )
 from ordalg.algebra import MEET, STAR, ZERO
-from ordalg.assign import ChoiceSpace
+from ordalg.assign import ChoiceSpace, _sample_indices
 from ordalg.errors import (
     InvalidChoice,
     MissingChoice,
@@ -307,6 +311,20 @@ def test_audit_fig3_lambda_sampled(fig3):
     rep = theorem_equivalence_audit(fig3, "stone", budget=20)
     assert rep.assignments_total == 429_981_696
     assert rep.sampled and rep.assignments_checked == 20 and rep.holds
+
+
+def test_audit_samples_above_maxsize():
+    rep = theorem_equivalence_audit(wide_poset(), "stone", budget=1)
+    assert rep.assignments_total == 7**30 > sys.maxsize
+    assert rep.sampled and rep.assignments_checked == 1 and rep.holds
+
+
+@pytest.mark.parametrize("total, budget", [(7**30, 40), (10, 10), (10, 9), (1, 1)])
+def test_sample_indices_exact_sorted_distinct(total, budget):
+    drawn = _sample_indices(random.Random(3), total, budget)
+    assert len(set(drawn)) == budget and drawn == sorted(drawn)
+    assert 0 <= drawn[0] and drawn[-1] < total
+    assert drawn == _sample_indices(random.Random(3), total, budget)
 
 
 @pytest.mark.parametrize("budget", [0, -5])

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from helpers import wide_poset
+from ordalg import pc, serialize_poset
 from ordalg.cli import run_cli
 from ordalg.fixtures import FIXTURES_TEXT
 
@@ -94,6 +96,15 @@ def test_assign_not_in_class(corpus, capsys):
     assert "not relatively_pc" in capsys.readouterr().err
 
 
+def test_assign_enumerate_classifies_once(corpus, capsys, monkeypatch):
+    calls = []
+    classify = pc.classify
+    monkeypatch.setattr(pc, "classify", lambda *a: calls.append(a) or classify(*a))
+    code = run_cli(["assign", corpus, "--profile=pc", "--name", "fig2", "--enumerate", "--json"])
+    assert code == 0 and len(json.loads(capsys.readouterr().out)["algebras"]) == 48
+    assert len(calls) == 1
+
+
 def test_audit_fig1(fig1_file, capsys):
     code = run_cli(["audit", fig1_file, "--profile=pc"])
     out = capsys.readouterr().out
@@ -106,6 +117,14 @@ def test_audit_budget_below_one(corpus, capsys, budget):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "audit budget must be at least 1" in captured.err
+
+
+def test_audit_samples_above_maxsize(tmp_path, capsys):
+    f = tmp_path / "wide.ord"
+    f.write_text(serialize_poset("wide", wide_poset()) + "\n", encoding="utf-8")
+    code = run_cli(["audit", str(f), "--profile", "stone", "--budget", "1"])
+    assert code == 0
+    assert f"assignments=1/{7**30} OK" in capsys.readouterr().out
 
 
 def test_con_props_terms(corpus, capsys):

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import posets
+from helpers import (
+    all_posets_oracle,
+    canonical_key_oracle,
+    posets,
+    relabel,
+    twin_posets,
+)
 from ordalg import all_posets, are_isomorphic, canonical_key, random_poset
+from ordalg.enumeration import _children, _without_maximal, down_set_masks, refine_colours
 from ordalg.poset import Poset, bits
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 3 + 2, 4: 16, 5: 63, 6: 318}
@@ -20,6 +27,70 @@ def test_counts_small():
 @pytest.mark.slow
 def test_count_n7():
     assert len(all_posets(7)) == 2045
+
+
+@pytest.mark.slow
+def test_count_n8():
+    assert len(all_posets(8)) == 16999  # OEIS A000112
+
+
+def test_all_posets_key_sequence_matches_oracle():
+    # the same keys in the same order as keying every one-element extension
+    for n in range(1, 7):
+        assert [canonical_key(P) for P in all_posets(n)] == list(all_posets_oracle(n))
+
+
+def test_canonical_key_matches_oracle_small():
+    # every poset with n <= 7, as listed and under a seeded relabelling
+    rng = random.Random(1)
+    for n in range(1, 8):
+        for P in all_posets(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            Q = relabel(P, perm)
+            assert canonical_key(P) == canonical_key(Q) == canonical_key_oracle(Q)
+
+
+def test_canonical_key_antichains_and_twins():
+    for n in range(1, 8):
+        antichain = Poset(["x%d" % i for i in range(n)], [1 << i for i in range(n)])
+        assert canonical_key(antichain) == canonical_key_oracle(antichain)
+    # 0 below four twins below 1, and two twin chains of length two
+    m4 = Poset(list("0abcd1"), [0b1, 0b11, 0b101, 0b1001, 0b10001, 0b111111])
+    chains = Poset(list("abcd"), [0b1, 0b10, 0b101, 0b1010])
+    for P in (m4, chains):
+        assert canonical_key(P) == canonical_key_oracle(P)
+
+
+def test_augmentation_keeps_one_parent_when_colours_tie():
+    # A 4-crown and a 6-crown side by side, as height-one posets: minimal
+    # elements 0-4, maximal elements 5-9.  Every element has two neighbours,
+    # so refinement gives all maximal elements one colour, yet deleting one
+    # from the 4-crown (5) or from the 6-crown (7) gives non-isomorphic
+    # parents.  Only the one with the least key may keep Q as a child.
+    below = {5: (0, 1), 6: (0, 1), 7: (2, 3), 8: (3, 4), 9: (4, 2)}
+    Q = Poset(list("abcdefghij"), [1 << x for x in range(5)] + [
+        1 << y | sum(1 << x for x in below[y]) for y in range(5, 10)])
+    parents = [_without_maximal(Q, 5), _without_maximal(Q, 7)]
+    assert canonical_key(parents[0]) != canonical_key(parents[1])
+    kept = [canonical_key(Q) in _children(P) for P in parents]
+    assert kept == [canonical_key(P) == min(map(canonical_key, parents)) for P in parents]
+
+
+def test_down_set_masks_ascending_and_complete():
+    for n in range(1, 6):
+        for P in all_posets(n):
+            expected = [m for m in range(1 << n) if all(P.down[x] & ~m == 0 for x in bits(m))]
+            assert down_set_masks(P) == expected
+
+
+def test_refine_colours_stops_when_discrete():
+    def never(ranks):
+        raise AssertionError("a discrete partition needs no round")
+
+    assert refine_colours(["c", "a", "b"], never) == [2, 0, 1]
+    # one round that splits nothing ends the refinement with the same ranks
+    assert refine_colours([0, 0, 1], lambda r: [(r[x], 0) for x in range(3)]) == [0, 0, 1]
 
 
 def _all_labelled_posets_bruteforce(n):
@@ -57,17 +128,13 @@ def test_enumeration_matches_bruteforce(n):
     assert keys == {canonical_key(P) for P in all_posets(n)}
 
 
-@given(posets(max_n=5), st.randoms(use_true_random=False))
-@settings(max_examples=60)
+@given(st.one_of(posets(max_n=7), twin_posets()), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
 def test_canonical_key_invariant_under_relabelling(P, rng):
     perm = list(range(P.n))
     rng.shuffle(perm)
-    down = [0] * P.n
-    for x in range(P.n):
-        for y in bits(P.down[x]):
-            down[perm[x]] |= 1 << perm[y]
-    Q = Poset(P.labels, down)
-    assert canonical_key(P) == canonical_key(Q)
+    Q = relabel(P, perm)
+    assert canonical_key(P) == canonical_key(Q) == canonical_key_oracle(Q)
     assert are_isomorphic(P, Q)
 
 

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from helpers import idx, labset, posets, raw_lower, raw_upper
+from helpers import distributivity_oracle, idx, labset, posets, raw_lower, raw_upper
 from ordalg import (
     Poset,
+    all_posets,
     build_poset,
     directedness,
     extremes,
@@ -139,6 +140,19 @@ def test_distributive_forms_agree(P):
     dual = _distributive_form(P, dual=True)[0]
     assert primary == dual
     assert is_distributive(P).holds == primary
+
+
+def test_distributivity_report_matches_oracle(figs):
+    # the first failing triple, its equality and both cones, as in a full scan
+    small = [P for n in range(1, 6) for P in all_posets(n)]
+    for P in small + list(figs.posets.values()):
+        assert is_distributive(P) == distributivity_oracle(P)
+
+
+@given(posets(max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_distributivity_report_matches_oracle_random(P):
+    assert is_distributive(P) == distributivity_oracle(P)
 
 
 def test_is_lattice(fig1, fig5):
