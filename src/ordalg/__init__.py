@@ -22,7 +22,6 @@ from .assign import (
     PROFILES,
     AuditReport,
     ChoiceSpace,
-    Profile,
     assign_algebra,
     canonical_choice,
     cone_via_directoid,
@@ -64,10 +63,7 @@ from .pc import (
     classify,
     pseudocomplement,
     relative_pseudocomplement,
-    rpc_table,
     sectional_pseudocomplement,
-    spc_table,
-    star_table,
 )
 from .poset import (
     ConeResult,

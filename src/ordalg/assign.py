@@ -1,13 +1,22 @@
 """Directoid and λ-lattice assignments for a poset, and their verification.
 
+:data:`PROFILES` names the six assigned algebras and gives each its
+signature; everything else about a profile follows from the name and the
+signature.  The profile's poset class is ``pc.canonical_kind(name)``.  The
+assignment is a λ-lattice (``⊓`` and ``⊔``) when the signature has ``⊔``,
+and a commutative meet directoid otherwise.  The derived operation is the
+one non-lattice symbol of arity 1 or 2 (the pseudocomplement ``*``, the
+relative pseudocomplement ``*`` or the sectional pseudocomplement ``∘``),
+and its table is the class's table from :mod:`pc`.  The constant ``0`` is the
+bottom and ``1`` the top.
+
 An assignment fixes ``x⊓y = min(x,y)`` on comparable pairs and an arbitrary
 element of the lower cone on incomparable ones (dually for ``⊔``), so the
 choice space is the product of the incomparable pairs' cones, and
 :class:`ChoiceSpace` numbers its assignments in mixed radix.  Each profile
-bundles the induced operation (pseudocomplement, relative or sectional
-pseudocomplement) and constants into one algebra and knows the quantified
-conditions that characterize the underlying poset class, plus the derived
-identities that must then follow.
+has the quantified conditions that characterize its poset class
+(:func:`conditions_for`), and some have derived identities that must then
+follow (:func:`derived_identities_for`).
 """
 
 from __future__ import annotations
@@ -38,94 +47,33 @@ from .terms import (
     Implies,
     Report,
     Var,
-    all_hold,
     check_formula,
-    render_formula,
 )
 
 Choice = dict[tuple[int, int], int]
 
 AUDIT_BUDGET = 10_000  # assignments an audit checks before it samples
 
-
-@dataclass(frozen=True)
-class Profile:
-    """One assigned-algebra shape: signature, required choices, derived op."""
-
-    name: str
-    signature: Signature
-    needs_join: bool
-    class_kind: str
-    op_symbol: str | None
-    op_arity: int
-    constants: tuple[tuple[str, str], ...]  # (symbol, "bottom"|"top")
-
-
-PROFILES: dict[str, Profile] = {
-    "pc": Profile(
-        "pc",
-        Signature(((MEET, 2), (STAR, 1), (ZERO, 0))),
-        False,
-        "pseudocomplemented",
-        STAR,
-        1,
-        ((ZERO, "bottom"),),
-    ),
-    "stone": Profile(
-        "stone",
-        Signature(((JOIN, 2), (MEET, 2), (STAR, 1), (ZERO, 0))),
-        True,
-        "stone",
-        STAR,
-        1,
-        ((ZERO, "bottom"),),
-    ),
-    "rpc": Profile(
-        "rpc",
-        Signature(((MEET, 2), (STAR, 2), (ONE, 0))),
-        False,
-        "relatively_pc",
-        STAR,
-        2,
-        ((ONE, "top"),),
-    ),
-    "spc": Profile(
-        "spc",
-        Signature(((JOIN, 2), (MEET, 2), (CIRC, 2))),
-        True,
-        "sectionally_pc",
-        CIRC,
-        2,
-        (),
-    ),
-    "spc1": Profile(
-        "spc1",
-        Signature(((JOIN, 2), (MEET, 2), (CIRC, 2), (ONE, 0))),
-        True,
-        "sectionally_pc_with_1",
-        CIRC,
-        2,
-        ((ONE, "top"),),
-    ),
-    "sspc": Profile(
-        "sspc",
-        Signature(((JOIN, 2), (MEET, 2), (CIRC, 2), (ONE, 0))),
-        True,
-        "strongly_sectionally_pc",
-        CIRC,
-        2,
-        ((ONE, "top"),),
-    ),
+PROFILES: dict[str, Signature] = {
+    "pc": Signature(((MEET, 2), (STAR, 1), (ZERO, 0))),
+    "stone": Signature(((JOIN, 2), (MEET, 2), (STAR, 1), (ZERO, 0))),
+    "rpc": Signature(((MEET, 2), (STAR, 2), (ONE, 0))),
+    "spc": Signature(((JOIN, 2), (MEET, 2), (CIRC, 2))),
+    "spc1": Signature(((JOIN, 2), (MEET, 2), (CIRC, 2), (ONE, 0))),
+    "sspc": Signature(((JOIN, 2), (MEET, 2), (CIRC, 2), (ONE, 0))),
 }
 
 
-def _profile(profile: str | Profile) -> Profile:
-    if isinstance(profile, Profile):
-        return profile
+def _signature(profile: str) -> Signature:
     try:
         return PROFILES[profile]
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}") from None
+
+
+def _choice_kind(profile: str) -> str:
+    """``lambda`` when the profile's signature has ``⊔``, else ``meet``."""
+    return "lambda" if _signature(profile).has(JOIN, 2) else "meet"
 
 
 # -- choices -------------------------------------------------------------------
@@ -199,6 +147,8 @@ class ChoiceSpace:
         return map(self.decode, range(self.count))
 
 
+# Kept as a module-level function that the audit calls, so that
+# perfbench/trace_job.py can wrap it and count the choices the audit walks.
 def enumerate_choices(P: Poset, kind: str) -> ChoiceSpace:
     return ChoiceSpace(P, kind)
 
@@ -252,11 +202,15 @@ def table_from_choice(P: Poset, choice: Choice, kind: str) -> tuple[tuple[int, .
 # -- assigned algebras -----------------------------------------------------------
 
 
-def _constant_values(P: Poset, prof: Profile, best_effort: bool) -> dict[str, int]:
+def _constant_values(P: Poset, profile: str, best_effort: bool) -> dict[str, int]:
+    """``0`` is the bottom and ``1`` the top; with ``best_effort`` a missing
+    one is the first minimal or maximal element instead."""
     bottom, top = extremes(P)
     values: dict[str, int] = {}
-    for sym, role in prof.constants:
-        v = bottom if role == "bottom" else top
+    for sym, arity in _signature(profile).symbols:
+        if arity:
+            continue
+        role, v = ("bottom", bottom) if sym == ZERO else ("top", top)
         if v is None:
             if not best_effort:
                 raise MissingStructure(f"poset has no {role} element for constant {sym}")
@@ -268,22 +222,17 @@ def _constant_values(P: Poset, prof: Profile, best_effort: bool) -> dict[str, in
     return values
 
 
-def _build(
-    P: Poset,
-    prof: Profile,
-    meet: Choice,
-    join: Choice | None,
-    op_table,
-    constants: dict[str, int],
-) -> Algebra:
-    """The profile's algebra from complete, already validated choices."""
+def _build(P: Poset, profile: str, choice, op_table, constants: dict[str, int]) -> Algebra:
+    """The profile's algebra from one complete, already validated choice: a
+    meet choice, or a ``(meet, join)`` pair for a λ-profile."""
+    meet, join = choice if _choice_kind(profile) == "lambda" else (choice, None)
     ops = []
-    for sym, arity in prof.signature.symbols:
+    for sym, arity in PROFILES[profile].symbols:
         if sym == MEET:
             ops.append((MEET, 2, table_from_choice(P, meet, "meet")))
         elif sym == JOIN:
             ops.append((JOIN, 2, table_from_choice(P, join, "join")))
-        elif sym == prof.op_symbol and arity == prof.op_arity:
+        elif arity:
             ops.append((sym, arity, op_table))
         else:
             ops.append((sym, 0, constants[sym]))
@@ -292,7 +241,7 @@ def _build(
 
 def assign_algebra(
     P: Poset,
-    profile: str | Profile,
+    profile: str,
     meet: Choice | None = None,
     join: Choice | None = None,
 ) -> Algebra:
@@ -302,16 +251,15 @@ def assign_algebra(
     class (the derived operation would be partial) and :class:`NotDirected`
     when the required directoid does not exist.
     """
-    prof = _profile(profile)
-    table = _class_table(P, prof)
-    join = _normalize_choice(P, "join", join) if prof.needs_join else None
+    kind = _choice_kind(profile)
+    table = _class_table(P, profile)
+    join = _normalize_choice(P, "join", join) if kind == "lambda" else None
     meet = _normalize_choice(P, "meet", meet)
-    return _build(P, prof, meet, join, table, _constant_values(P, prof, False))
+    choice = (meet, join) if kind == "lambda" else meet
+    return _build(P, profile, choice, table, _constant_values(P, profile, False))
 
 
-def enumerate_assignments(
-    P: Poset, profile: str | Profile
-) -> tuple[ChoiceSpace, Iterator[Algebra]]:
+def enumerate_assignments(P: Poset, profile: str) -> tuple[ChoiceSpace, Iterator[Algebra]]:
     """The profile's choice space, and lazily the assigned algebra of each of
     its choices in index order.
 
@@ -319,28 +267,23 @@ def enumerate_assignments(
     once, when the first algebra is drawn, and raises as in
     :func:`assign_algebra`; the space's own choices need no validation.
     """
-    prof = _profile(profile)
-    kind = "lambda" if prof.needs_join else "meet"
-    space = enumerate_choices(P, kind)
+    space = enumerate_choices(P, _choice_kind(profile))
 
     def algebras() -> Iterator[Algebra]:
-        table = _class_table(P, prof)
-        constants = _constant_values(P, prof, False)
+        table = _class_table(P, profile)
+        constants = _constant_values(P, profile, False)
         for choice in space:
-            meet, join = choice if kind == "lambda" else (choice, None)
-            yield _build(P, prof, meet, join, table, constants)
+            yield _build(P, profile, choice, table, constants)
 
     return space, algebras()
 
 
-def _class_table(P: Poset, prof: Profile):
+def _class_table(P: Poset, profile: str):
     """The profile's derived operation table; :class:`MissingStructure` when
     the poset is not in the profile's class."""
-    cls = pc.classify(P, prof.class_kind)
+    cls = pc.classify(P, profile)
     if not cls.holds:
-        raise MissingStructure(
-            f"poset is not {prof.class_kind}: witness {cls.witness!r}"
-        )
+        raise MissingStructure(f"poset is not {cls.kind}: witness {cls.witness!r}")
     return cls.table
 
 
@@ -362,12 +305,12 @@ def _j(a, b):
     return App(JOIN, (a, b))
 
 
-def conditions_for(profile: str | Profile) -> tuple[tuple[str, Formula], ...]:
+def conditions_for(profile: str) -> tuple[tuple[str, Formula], ...]:
     """The quantified conditions equivalent to membership in the profile's class."""
-    prof = _profile(profile)
+    _signature(profile)  # rejects an unknown name
     x, y, z, s, t = Var("x"), Var("y"), Var("z"), Var("s"), Var("t")
 
-    if prof.name in ("pc", "stone"):
+    if profile in ("pc", "stone"):
         zero = Const(ZERO)
         star = lambda a: App(STAR, (a,))
         conds = [
@@ -384,7 +327,7 @@ def conditions_for(profile: str | Profile) -> tuple[tuple[str, Formula], ...]:
                 ),
             ),
         ]
-        if prof.name == "stone":
+        if profile == "stone":
             conds.append(
                 (
                     "iv",
@@ -396,7 +339,7 @@ def conditions_for(profile: str | Profile) -> tuple[tuple[str, Formula], ...]:
             )
         return tuple(conds)
 
-    if prof.name == "rpc":
+    if profile == "rpc":
         one = Const(ONE)
         r = lambda a, b: App(STAR, (a, b))
         inner = _m(_m(x, z), _m(r(x, y), z))
@@ -456,56 +399,43 @@ def conditions_for(profile: str | Profile) -> tuple[tuple[str, Formula], ...]:
             ),
         ),
     ]
-    if prof.name in ("spc1", "sspc"):
+    if profile in ("spc1", "sspc"):
         one = Const(ONE)
         conds.append(("iv", Forall(("x",), Eq(_m(x, one), x))))
-    if prof.name == "sspc":
+    if profile == "sspc":
         conds.append(("v", Forall(("x", "y"), Eq(_m(x, c(c(x, y), y)), x))))
     return tuple(conds)
 
 
-def verify_assigned_conditions(
-    A: Algebra,
-    profile: str | Profile,
-    short_circuit: bool = False,
-) -> dict[str, Report]:
+def verify_assigned_conditions(A: Algebra, profile: str) -> dict[str, Report]:
     """Run every characterizing condition of the profile against the algebra."""
-    prof = _profile(profile)
-    for sym, arity in prof.signature.symbols:
+    for sym, arity in _signature(profile).symbols:
         if not A.signature.has(sym, arity):
-            raise MissingSymbol(f"algebra lacks {sym!r}/{arity} required by {prof.name}")
-    out: dict[str, Report] = {}
-    failed = False
-    for name, formula in conditions_for(prof):
-        if short_circuit and failed:
-            break
-        report = check_formula(A, formula)
-        out[name] = report
-        failed = failed or not report.holds
-    return out
+            raise MissingSymbol(f"algebra lacks {sym!r}/{arity} required by {profile}")
+    return {name: check_formula(A, formula) for name, formula in conditions_for(profile)}
 
 
-def derived_identities_for(profile: str | Profile) -> tuple[tuple[str, Formula], ...]:
-    prof = _profile(profile)
+def derived_identities_for(profile: str) -> tuple[tuple[str, Formula], ...]:
+    _signature(profile)  # rejects an unknown name
     x, y = Var("x"), Var("y")
     one = Const(ONE)
-    if prof.name == "rpc":
+    if profile == "rpc":
         r = lambda a, b: App(STAR, (a, b))
         return (
             ("a", Forall(("x",), Eq(r(x, x), one))),
             ("b", Forall(("x",), Eq(r(one, x), x))),
             ("c", Forall(("x", "y"), Eq(_m(x, r(r(x, y), y)), x))),
         )
-    if prof.name in ("spc1", "sspc"):
+    if profile in ("spc1", "sspc"):
         c = lambda a, b: App(CIRC, (a, b))
         return (
             ("a", Forall(("x",), Eq(c(x, x), one))),
             ("b", Forall(("x",), Eq(c(one, x), x))),
         )
-    raise MissingSymbol(f"profile {prof.name!r} has no derived identity set")
+    raise MissingSymbol(f"profile {profile!r} has no derived identity set")
 
 
-def verify_derived_identities(A: Algebra, profile: str | Profile) -> dict[str, Report]:
+def verify_derived_identities(A: Algebra, profile: str) -> dict[str, Report]:
     return {name: check_formula(A, f) for name, f in derived_identities_for(profile)}
 
 
@@ -548,7 +478,7 @@ def _sample_indices(rng: random.Random, total: int, budget: int) -> list[int]:
 
 def theorem_equivalence_audit(
     P: Poset,
-    profile: str | Profile,
+    profile: str,
     budget: int = AUDIT_BUDGET,
     seed: int = 20210,
 ) -> AuditReport:
@@ -557,28 +487,26 @@ def theorem_equivalence_audit(
     When the class holds, the derived operation is the computed one and every
     assignment must satisfy all conditions; when it fails, a best-effort table
     (greatest-or-first-maximal entries, same for constants) must violate some
-    condition on every assignment.  Non-directed posets admit no assignment
-    and pass vacuously.  A space of at most ``budget`` assignments is checked
+    condition on every assignment.  An assignment's verdict stops at its
+    first failing condition.  Non-directed posets admit no assignment and
+    pass vacuously.  A space of at most ``budget`` assignments is checked
     whole; a larger one is sampled: exactly ``budget`` distinct indices drawn
     by :func:`_sample_indices` from ``random.Random(seed)``, decoded and
-    checked in increasing order.  That works for spaces of any size; a given
-    seed draws other indices than the ``random.sample`` this replaced.  A
-    budget below 1 raises :class:`OrdalgError`.
+    checked in increasing order, so spaces of any size work.  A budget below
+    1 raises :class:`OrdalgError`.
     """
     if budget < 1:
         raise OrdalgError(f"audit budget must be at least 1, got {budget}")
-    prof = _profile(profile)
-    cls = pc.classify(P, prof.class_kind)
-    kind = "lambda" if prof.needs_join else "meet"
+    kind = _choice_kind(profile)
+    cls = pc.classify(P, profile)
     try:
         space = enumerate_choices(P, kind)
     except NotDirected as e:
-        return AuditReport(
-            prof.name, cls.holds, 0, 0, False, (), f"no assignments exist: {e}"
-        )
+        return AuditReport(profile, cls.holds, 0, 0, False, (), f"no assignments exist: {e}")
 
-    table = cls.table if cls.holds else pc.best_effort_table(P, prof.class_kind)
-    constants = _constant_values(P, prof, best_effort=not cls.holds)
+    table = cls.table if cls.holds else pc.best_effort_table(P, profile)
+    constants = _constant_values(P, profile, best_effort=not cls.holds)
+    conditions = [formula for _, formula in conditions_for(profile)]
     total = space.count
     sampled = total > budget
     choices = space
@@ -587,16 +515,13 @@ def theorem_equivalence_audit(
     checked = 0
     divergences = []
     for choice in choices:
-        meet, join = choice if kind == "lambda" else (choice, None)
-        A = _build(P, prof, meet, join, table, constants)
-        verdict = all_hold(
-            verify_assigned_conditions(A, prof, short_circuit=not cls.holds)
-        )
+        A = _build(P, profile, choice, table, constants)
+        verdict = all(check_formula(A, f).holds for f in conditions)
         checked += 1
         if verdict != cls.holds:
             divergences.append({"choice": choice, "algebra_verdict": verdict})
     return AuditReport(
-        prof.name,
+        profile,
         cls.holds,
         total,
         checked,

@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from . import pc
-from .algebra import Algebra
 from .assign import (
     AUDIT_BUDGET,
     PROFILES,
+    _choice_kind,
     assign_algebra,
     canonical_choice,
     enumerate_assignments,
@@ -149,11 +149,10 @@ def _parse_choice_args(P, texts):
 def _cmd_assign(args) -> int:
     doc = _load(args.file)
     pname, P = doc.the_poset(args.name)
-    prof = PROFILES[args.profile]
     emitted = []
     lines = []
     if args.enumerate:
-        space, algebras = enumerate_assignments(P, prof)
+        space, algebras = enumerate_assignments(P, args.profile)
         lines.append(f"# {space.count} assignments for profile {args.profile}")
         for count in range(space.count):
             if args.limit and count >= args.limit:
@@ -168,15 +167,15 @@ def _cmd_assign(args) -> int:
         full_meet = dict(canonical_choice(P, "meet"))
         full_meet.update(meet or {})
         full_join = None
-        if prof.needs_join:
+        if _choice_kind(args.profile) == "lambda":
             full_join = dict(canonical_choice(P, "join"))
             full_join.update(join or {})
-        A = assign_algebra(P, prof, meet=full_meet, join=full_join)
+        A = assign_algebra(P, args.profile, meet=full_meet, join=full_join)
         aname = f"{pname}_{args.profile}"
         emitted.append({"name": aname, **A.to_json()})
         lines.append(serialize_algebra(aname, A, pname))
         if args.verify:
-            reports = verify_assigned_conditions(A, prof)
+            reports = verify_assigned_conditions(A, args.profile)
             for cname, rep in reports.items():
                 verdict = "HOLDS" if rep.holds else "FAILS"
                 w = f"  {_witness_text(P, rep.witness)}" if rep.witness else ""
@@ -387,12 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="classify posets in a file")
     sp.add_argument("file")
-    sp.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=["pc", "stone", "rpc", "spc", "spc1", "sspc", "distributive"],
-    )
+    sp.add_argument("--class", dest="cls", required=True, choices=[*PROFILES, "distributive"])
     sp.add_argument("--name", help="poset name (default: all posets in the file)")
     common(sp)
     sp.set_defaults(func=_cmd_check)

@@ -283,17 +283,6 @@ class CongruenceLattice:
     def __len__(self) -> int:
         return len(self.congruences)
 
-    def index_of(self, c: Congruence) -> int:
-        return self.congruences.index(c)
-
-    @property
-    def bottom_index(self) -> int:
-        return self.index_of(Congruence.identity(self.congruences[0].n))
-
-    @property
-    def top_index(self) -> int:
-        return self.index_of(Congruence.total(self.congruences[0].n))
-
 
 def _generate_congruences(A: Algebra) -> list[Congruence]:
     """Every congruence of A, sorted by ``rep``.

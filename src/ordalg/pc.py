@@ -9,8 +9,8 @@ maximal candidates as the witness when the maximum is missing.
 Each of the three derived operations (``*``, the relative ``*`` and ``∘``)
 is computed by one row-major scan over its cells, :func:`_scan`.  The scan
 returns either the whole table or the first absent cell with its maximal
-candidates; :func:`classify`, the three table functions and
-:func:`best_effort_table` all read it, so no cell is computed twice.
+candidates; :func:`classify` and :func:`best_effort_table` both read it, so
+no cell is computed twice.  A class's table is ``classify(P, kind).table``.
 
 Diagonal fallback: on a poset without enough upper structure the sectional
 candidate set {z : z >= x} of a diagonal pair (x, x) can lack a maximum.
@@ -183,19 +183,6 @@ def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     if g.value is None and x == y:
         return x
     return g.value
-
-
-def star_table(P: Poset) -> tuple[int, ...] | None:
-    """Full unary pseudocomplement table; None when some entry is absent."""
-    return _scan(P, "pc").table
-
-
-def rpc_table(P: Poset) -> tuple[tuple[int, ...], ...] | None:
-    return _scan(P, "rpc").table
-
-
-def spc_table(P: Poset) -> tuple[tuple[int, ...], ...] | None:
-    return _scan(P, "spc").table
 
 
 _OPERATION = {

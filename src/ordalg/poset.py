@@ -327,9 +327,11 @@ def is_distributive(P: Poset) -> DistributivityReport:
     are checked at every triple; as universally quantified statements the two
     are equivalent, but the first failing triple can differ between them, so
     the witness reports which equality broke there.  Both equalities are
-    symmetric in x and y, so only x <= y (as indices) is visited: the first
-    failing triple in (x, y, z) order never has x > y.  The UL and LU
-    closures of each mask are computed once per call.
+    symmetric in x and y, so only x < y (as indices) is visited: the first
+    failing triple in (x, y, z) order never has x > y, and never x = y,
+    where both always hold (U(L(x,x),z) = ↑x ∩ ↑z = UL(U(x,z)) since
+    ULU = U, and dually).  The UL and LU closures of each mask are computed
+    once per call.
     """
     n = P.n
     down, up = P.down, P.up
@@ -337,7 +339,7 @@ def is_distributive(P: Poset) -> DistributivityReport:
     lu: dict[int, int] = {}
     # U(S ∪ {z}) = U(S) ∩ up[z], and U(x,z) ∪ U(y,z) = (up[x] ∪ up[y]) ∩ up[z]
     for x in range(n):
-        for y in range(x, n):
+        for y in range(x + 1, n):
             u_lxy = P.upper_mask(down[x] & down[y])
             l_uxy = P.lower_mask(up[x] & up[y])
             u_xy, l_xy = up[x] | up[y], down[x] | down[y]

@@ -21,15 +21,18 @@ from ordalg import (
     assign_algebra,
     build_poset,
     canonical_choice,
+    classify,
     cone_via_directoid,
     enumerate_choices,
+    extremes,
     induced_order,
     theorem_equivalence_audit,
     verify_assigned_conditions,
     verify_derived_identities,
 )
-from ordalg.algebra import MEET, STAR, ZERO
-from ordalg.assign import ChoiceSpace, _sample_indices
+from ordalg import congruence, pc
+from ordalg.algebra import JOIN, MEET, ONE, STAR, ZERO
+from ordalg.assign import ChoiceSpace, _sample_indices, enumerate_assignments
 from ordalg.errors import (
     InvalidChoice,
     MissingChoice,
@@ -164,6 +167,37 @@ def test_assign_fig5_sspc(fig5):
     assert A.table(MEET)[d][e] == c
     assert A.table("⊔")[a][c] == d
     assert all_hold(verify_assigned_conditions(A, "sspc"))
+
+
+# -- the profile table ------------------------------------------------------------
+
+# a fixture poset in each profile's class
+_PROFILE_FIXTURE = {"pc": "fig1", "rpc": "fig1", "stone": "fig2",
+                    "spc": "fig5", "spc1": "fig5", "sspc": "fig5"}
+
+
+def test_profile_names_agree():
+    assert set(_PROFILE_FIXTURE) == set(PROFILES) == set(congruence._PROFILE_SCHEMES)
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_profile_is_name_and_signature(figs, name):
+    P = figs.posets[_PROFILE_FIXTURE[name]]
+    A = assign_algebra(P, name)
+    assert A.signature == PROFILES[name]  # same symbols in the same order
+    cls = classify(P, name)
+    assert cls.holds and cls.kind == pc.canonical_kind(name)
+    bottom, top = extremes(P)
+    for sym, arity in PROFILES[name].symbols:
+        if sym in (MEET, JOIN):
+            continue
+        if arity:  # the derived operation
+            assert A.table(sym) == cls.table
+        else:
+            assert A.constant(sym) == {ZERO: bottom, ONE: top}[sym]
+    space, algebras = enumerate_assignments(P, name)
+    assert space.kind == ("lambda" if PROFILES[name].has(JOIN, 2) else "meet")
+    assert next(algebras) == A  # index 0 is the canonical choice
 
 
 # -- the cone lemma ------------------------------------------------------------------

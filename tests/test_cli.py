@@ -3,7 +3,7 @@ import json
 import pytest
 
 from helpers import wide_poset
-from ordalg import pc, serialize_poset
+from ordalg import PROFILES, pc, serialize_poset
 from ordalg.cli import run_cli
 from ordalg.fixtures import FIXTURES_TEXT
 
@@ -33,6 +33,12 @@ def test_check_stone_fig1_fails(fig1_file, capsys):
 def test_check_stone_fig2_holds(corpus, capsys):
     assert run_cli(["check", corpus, "--class=stone", "--name", "fig2"]) == 0
     assert "HOLDS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_check_every_profile(corpus, capsys, name):
+    assert run_cli(["check", corpus, "--class", name]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_check_json_schema(corpus, capsys):

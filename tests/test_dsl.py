@@ -1,6 +1,6 @@
 import pytest
 
-from ordalg import build_poset, fixtures, parse, serialize, star_table
+from ordalg import build_poset, classify, fixtures, parse, serialize
 from ordalg.algebra import MEET
 from ordalg.dsl import serialize_algebra, serialize_poset
 from ordalg.errors import ParseError
@@ -41,7 +41,7 @@ def test_parse_unary_and_constant(fig1):
         "algebra s on q\n  unary * : 0->1 a->b b->a c->0 d->0 1->0\n  constant 0: 0\n"
     )
     A = doc.algebras["s"]
-    assert A.table("*") == star_table(doc.posets["q"])
+    assert A.table("*") == classify(doc.posets["q"], "pc").table
     assert A.constant("0") == 0
 
 

@@ -11,10 +11,7 @@ from ordalg import (
     is_distributive,
     pseudocomplement,
     relative_pseudocomplement,
-    rpc_table,
     sectional_pseudocomplement,
-    spc_table,
-    star_table,
 )
 from ordalg import pc
 from ordalg.errors import NoBottom
@@ -44,7 +41,7 @@ def test_star_tables_match_fixtures(figs):
     for name in ("fig1", "fig2", "fig3"):
         P = figs.posets[name]
         stored = figs.algebras[f"{name}_star"]
-        computed = star_table(P)
+        computed = classify(P, "pc").table
         assert computed == stored.table("*")
         assert tuple(computed[v] for v in computed) == stored.table("**")
 
@@ -52,7 +49,7 @@ def test_star_tables_match_fixtures(figs):
 def test_star_table_oracle_fig2(fig2):
     # independent re-derivation of each entry through raw cone loops
     bottom = extremes(fig2)[0]
-    table = star_table(fig2)
+    table = classify(fig2, "pc").table
     for x in range(fig2.n):
         cand = {y for y in range(fig2.n) if raw_lower(fig2, {x, y}) == {bottom}}
         assert raw_greatest(fig2, cand) == table[x]
@@ -94,7 +91,7 @@ def test_rpc_fig1_examples(fig1):
 
 
 def test_rpc_table_matches_fixture(figs, fig1):
-    assert rpc_table(fig1) == figs.algebras["fig1_rpc"].table("*")
+    assert classify(fig1, "rpc").table == figs.algebras["fig1_rpc"].table("*")
 
 
 def test_rpc_fig5_absent(fig5):
@@ -107,7 +104,7 @@ def test_rpc_fig5_absent(fig5):
 
 def test_rpc_implies_pc_at_bottom(fig1):
     zero = fig1.index("0")
-    st = star_table(fig1)
+    st = classify(fig1, "pc").table
     for x in range(fig1.n):
         assert relative_pseudocomplement(fig1, x, zero) == st[x]
 
@@ -145,8 +142,8 @@ def test_spc_fig5_examples(fig5):
 
 
 def test_spc_tables_match_fixtures(figs, fig4, fig5):
-    assert spc_table(fig5) == figs.algebras["fig5_spc"].table("∘")
-    assert spc_table(fig4) == figs.algebras["fig4_spc"].table("∘")
+    assert classify(fig5, "spc").table == figs.algebras["fig5_spc"].table("∘")
+    assert classify(fig4, "spc").table == figs.algebras["fig4_spc"].table("∘")
     # no fallback fires on fig5 (it has a top)
     assert all(_spc_detail(fig5, x, x).value is not None for x in range(fig5.n))
 
@@ -214,18 +211,18 @@ def _raw_maximal(P, cand) -> list[int]:
 
 
 def _reverify_tables(P):
-    """classify, the three tables and the best-effort tables against the oracle."""
-    for kind, op, table_of in (
-        ("pseudocomplemented", "pc", star_table),
-        ("relatively_pc", "rpc", rpc_table),
-        ("sectionally_pc", "spc", spc_table),
+    """classify and the best-effort tables against the oracle."""
+    for kind, op in (
+        ("pseudocomplemented", "pc"),
+        ("relatively_pc", "rpc"),
+        ("sectionally_pc", "spc"),
     ):
         cls = classify(P, kind)
         best = best_effort_table(P, kind)
         cells = _raw_cells(P, op)
         if cells is None:
             assert cls.witness == {"reason": "no bottom element"}
-            assert table_of(P) is None and best == (0,) * P.n
+            assert cls.table is None and best == (0,) * P.n
             continue
         expected, absent, fallback = [], [], []
         for cell, cand in cells:
@@ -242,9 +239,9 @@ def _reverify_tables(P):
         assert list(flat) == expected
         if absent:
             assert not cls.holds and cls.witness == absent[0]
-            assert table_of(P) is None
+            assert cls.table is None
         else:
-            assert cls.holds and cls.table == table_of(P) == best
+            assert cls.holds and cls.table == best
             note = "diagonal fallback (least candidate) at: " + ", ".join(fallback)
             assert cls.note == (note if fallback else "")
 
@@ -282,12 +279,12 @@ def test_greatest_in_distinguishes_maximal(fig4):
 
 
 def test_equalities_fig3(fig3):
-    reports = check_distributive_pc_equalities(fig3, star_table(fig3))
+    reports = check_distributive_pc_equalities(fig3, classify(fig3, "pc").table)
     assert all(r.holds for r in reports.values())
 
 
 def test_equalities_fig1_side_condition_fails(fig1):
-    reports = check_distributive_pc_equalities(fig1, star_table(fig1))
+    reports = check_distributive_pc_equalities(fig1, classify(fig1, "pc").table)
     side = reports["side: U(x,x*)={1}"]
     assert not side.holds
     assert side.witness["x"] == fig1.index("a")

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from ordalg import (
     upper_cone,
 )
 from ordalg.errors import CycleDetected, DuplicateLabel, NotAPartialOrder, UnknownLabel
-from ordalg.poset import _distributive_form
+from ordalg.poset import _check_triple, _distributive_form
 
 
 def test_build_fig1_order(fig1):
@@ -153,6 +155,15 @@ def test_distributivity_report_matches_oracle(figs):
 @settings(max_examples=80, deadline=None)
 def test_distributivity_report_matches_oracle_random(P):
     assert is_distributive(P) == distributivity_oracle(P)
+
+
+def test_distributive_diagonal_always_holds():
+    # is_distributive skips x = y: both equalities hold there (ULU = U)
+    for n in range(1, 6):
+        for P in all_posets(n):
+            for x, z in product(range(P.n), repeat=2):
+                for dual in (False, True):
+                    assert _check_triple(P, x, x, z, dual)[0]
 
 
 def test_is_lattice(fig1, fig5):
