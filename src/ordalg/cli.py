@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import pc
+from .algebra import Algebra, induced_order
 from .assign import (
     AUDIT_BUDGET,
     PROFILES,
@@ -24,12 +25,11 @@ from .assign import (
 )
 from .congruence import congruence_lattice, congruence_properties, verify_term_conditions
 from .decompose import ISO_GUARD, decompose, direct_product
-from .dsl import Document, parse, serialize, serialize_algebra, serialize_poset
-from .errors import NotDirected, OrdalgError
+from .dsl import Document, parse, serialize_algebra, serialize_poset
+from .errors import MissingSymbol, NotAPartialOrder, OrdalgError
 from .fixtures import FIXTURES_TEXT, fixtures
-from .poset import Poset, is_distributive
+from .poset import build_poset, is_distributive
 from .search import SearchSpec, parse_predicate, search
-from .terms import Report
 
 SCHEMA_VERSION = 1
 
@@ -129,21 +129,21 @@ def _cmd_check(args) -> int:
 # -- assign ----------------------------------------------------------------------
 
 
-def _parse_choice_args(P, texts):
-    meet: dict = {}
-    join: dict = {}
+def _parse_choice_args(P, texts) -> dict[str, dict]:
+    """``--choice`` overrides as ``{"meet": {pair: value}, "join": {...}}``."""
+    chosen: dict[str, dict] = {"meet": {}, "join": {}}
     for text in texts or ():
         try:
             kind, rest = text.split(None, 1)
+            if kind not in chosen:
+                raise ValueError(f"the kind must be 'meet' or 'join', not {kind!r}")
             body, value = rest.split("=", 1)
             a, b = body.strip()[1:-1].split(",", 1)
             pair = (P.index(a.strip()), P.index(b.strip()))
-            pair = (min(pair), max(pair))
-            target = meet if kind == "meet" else join
-            target[pair] = P.index(value.strip())
+            chosen[kind][(min(pair), max(pair))] = P.index(value.strip())
         except (ValueError, OrdalgError) as e:
             raise OrdalgError(f"bad --choice {text!r}: {e}") from e
-    return meet or None, join or None
+    return chosen
 
 
 def _cmd_assign(args) -> int:
@@ -152,6 +152,9 @@ def _cmd_assign(args) -> int:
     emitted = []
     lines = []
     if args.enumerate:
+        for flag in ("choice", "verify"):
+            if getattr(args, flag):
+                raise OrdalgError(f"--{flag} does not apply with --enumerate")
         space, algebras = enumerate_assignments(P, args.profile)
         lines.append(f"# {space.count} assignments for profile {args.profile}")
         for count in range(space.count):
@@ -163,13 +166,12 @@ def _cmd_assign(args) -> int:
             emitted.append({"name": aname, **A.to_json()})
             lines.append(serialize_algebra(aname, A, pname))
     else:
-        meet, join = _parse_choice_args(P, args.choice)
-        full_meet = dict(canonical_choice(P, "meet"))
-        full_meet.update(meet or {})
-        full_join = None
-        if _choice_kind(args.profile) == "lambda":
-            full_join = dict(canonical_choice(P, "join"))
-            full_join.update(join or {})
+        chosen = _parse_choice_args(P, args.choice)
+        lam = _choice_kind(args.profile) == "lambda"
+        if chosen["join"] and not lam:
+            raise OrdalgError(f"profile {args.profile} has no ⊔: a join --choice does not apply")
+        full_meet = {**canonical_choice(P, "meet"), **chosen["meet"]}
+        full_join = {**canonical_choice(P, "join"), **chosen["join"]} if lam else None
         A = assign_algebra(P, args.profile, meet=full_meet, join=full_join)
         aname = f"{pname}_{args.profile}"
         emitted.append({"name": aname, **A.to_json()})
@@ -278,6 +280,17 @@ def _cmd_con(args) -> int:
 # -- decompose / product ---------------------------------------------------------
 
 
+def _with_order(name: str, A: Algebra) -> list[str]:
+    """DSL text for ``A`` and, before it, the poset ``<name>_order`` it refers
+    to: the order ``A``'s ⊓ induces, or an antichain when ``A`` has no ⊓ or
+    its ⊓ induces no partial order."""
+    try:
+        P = induced_order(A)
+    except (MissingSymbol, NotAPartialOrder):
+        P = build_poset(A.labels, [])
+    return [serialize_poset(f"{name}_order", P), serialize_algebra(name, A, f"{name}_order")]
+
+
 def _cmd_decompose(args) -> int:
     doc = _load(args.file)
     aname, A = doc.the_algebra(args.name)
@@ -291,7 +304,7 @@ def _cmd_decompose(args) -> int:
                 "algebra": aname,
                 "indecomposable": True,
             },
-            [f"{aname}: directly indecomposable"],
+            [f"# {aname}: directly indecomposable"],
         )
         return 0
     payload = {
@@ -304,9 +317,9 @@ def _cmd_decompose(args) -> int:
         "embedding": [list(e) for e in result.embedding],
     }
     lines = [
-        f"{aname}: decomposes as {result.left.n} x {result.right.n}",
-        serialize_algebra(f"{aname}_left", result.left, f"{aname}_left_order"),
-        serialize_algebra(f"{aname}_right", result.right, f"{aname}_right_order"),
+        f"# {aname}: decomposes as {result.left.n} x {result.right.n}",
+        *_with_order(f"{aname}_left", result.left),
+        *_with_order(f"{aname}_right", result.right),
     ]
     _emit(args, payload, lines)
     return 0
@@ -322,7 +335,7 @@ def _cmd_product(args) -> int:
     _emit(
         args,
         {"schema": SCHEMA_VERSION, "command": "product", "algebra": {"name": name, **A.to_json()}},
-        [serialize_algebra(name, A, f"{name}_order")],
+        _with_order(name, A),
     )
     return 0
 

@@ -6,9 +6,14 @@ premise is itself a quantified block, and the one biconditional-premise shape
 needed for the nested sectional characterization.  That keeps the checker
 total and auditable.
 
-Two evaluation paths exist on purpose: :func:`check_formula` compiles terms
-to closures for speed, while :func:`evaluate_at` is a plain recursive
-interpreter used to re-validate reported witnesses independently.
+:func:`check_formula` makes one walk over the formula: :func:`_compile_node`
+rejects what cannot be evaluated (unbound or re-bound variables, symbols
+outside the signature, wrong arities) as it builds the closures, and returns
+their cost bound and slot count with them.  Every quantifier, the outer one
+included, runs as a compiled loop over consecutive slots of one list.
+:func:`evaluate_at` is a plain recursive interpreter over name-keyed
+environments that shares no code with the compiler; it is the independent
+oracle that re-validates reported witnesses.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import ArityMismatch, BudgetExceeded, UnboundVariable, UnknownSymbo
 if TYPE_CHECKING:  # pragma: no cover
     from .algebra import Algebra
 
-DEFAULT_BUDGET = 10**9
+BUDGET = 10**9  # assignments one check may evaluate
 
 
 # -- terms -------------------------------------------------------------------
@@ -90,7 +95,6 @@ class Report:
     holds: bool
     witness: dict[str, int] | None = None
     checked_count: int = 0
-    note: str = ""
 
     def __post_init__(self):
         if self.holds and self.witness is not None:
@@ -137,63 +141,6 @@ def render_formula(f: Node) -> str:
     if isinstance(f, Iff):
         return f"[{render_formula(f.lhs)}] ⇔ [{render_formula(f.rhs)}]"
     raise TypeError(f"not a formula node: {f!r}")
-
-
-# -- validation and cost ---------------------------------------------------
-
-
-def _validate_term(A: "Algebra", t: Term, bound: frozenset[str]) -> None:
-    if isinstance(t, Var):
-        if t.name not in bound:
-            raise UnboundVariable(f"variable {t.name!r} is not bound by a quantifier")
-    elif isinstance(t, Const):
-        if not A.signature.has(t.symbol, 0):
-            raise UnknownSymbol(f"constant {t.symbol!r} not in signature")
-    elif isinstance(t, App):
-        if not A.signature.has(t.symbol):
-            raise UnknownSymbol(f"operation {t.symbol!r} not in signature")
-        if A.signature.arity(t.symbol) != len(t.args):
-            raise ArityMismatch(
-                f"{t.symbol!r} has arity {A.signature.arity(t.symbol)}, applied to {len(t.args)}"
-            )
-        for a in t.args:
-            _validate_term(A, a, bound)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-
-
-def validate_formula(A: "Algebra", node: Node, bound: frozenset[str] = frozenset()) -> None:
-    if isinstance(node, Eq):
-        _validate_term(A, node.lhs, bound)
-        _validate_term(A, node.rhs, bound)
-    elif isinstance(node, Forall):
-        shadowed = set(node.vars) & bound
-        if shadowed:
-            raise ValueError(f"quantifier re-binds variables: {sorted(shadowed)}")
-        if len(set(node.vars)) != len(node.vars):
-            raise ValueError("duplicate variables in one quantifier block")
-        validate_formula(A, node.body, bound | set(node.vars))
-    elif isinstance(node, Implies):
-        validate_formula(A, node.premise, bound)
-        validate_formula(A, node.conclusion, bound)
-    elif isinstance(node, Iff):
-        validate_formula(A, node.lhs, bound)
-        validate_formula(A, node.rhs, bound)
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-
-
-def formula_cost(node: Node, n: int) -> int:
-    """Upper bound on evaluated assignments (drives the complexity guard)."""
-    if isinstance(node, Eq):
-        return 1
-    if isinstance(node, Forall):
-        return (n ** len(node.vars)) * formula_cost(node.body, n)
-    if isinstance(node, Implies):
-        return formula_cost(node.premise, n) + formula_cost(node.conclusion, n)
-    if isinstance(node, Iff):
-        return formula_cost(node.lhs, n) + formula_cost(node.rhs, n)
-    raise TypeError(f"not a formula node: {node!r}")
 
 
 # -- slow path: public term evaluation and witness re-evaluation -------------
@@ -253,99 +200,105 @@ def evaluate_at(A: "Algebra", f: Formula, env: Mapping[str, int]) -> bool:
 
 
 def _compile_term(A: "Algebra", t: Term, slots: dict[str, int]) -> Callable[[list], int]:
+    """A closure evaluating ``t`` on the slot list; raises on an unbound
+    variable, a symbol outside the signature or a wrong arity."""
     if isinstance(t, Var):
+        if t.name not in slots:
+            raise UnboundVariable(f"variable {t.name!r} is not bound by a quantifier")
         i = slots[t.name]
         return lambda env: env[i]
     if isinstance(t, Const):
+        if not A.signature.has(t.symbol, 0):
+            raise UnknownSymbol(f"constant {t.symbol!r} not in signature")
         v = A.constant(t.symbol)
         return lambda env: v
+    if not isinstance(t, App):
+        raise TypeError(f"not a term: {t!r}")
+    if not A.signature.has(t.symbol):
+        raise UnknownSymbol(f"operation {t.symbol!r} not in signature")
     arity = A.signature.arity(t.symbol)
-    if arity == 1:
-        tab = A.table(t.symbol)
-        f0 = _compile_term(A, t.args[0], slots)
-        return lambda env: tab[f0(env)]
+    if arity != len(t.args):
+        raise ArityMismatch(f"{t.symbol!r} has arity {arity}, applied to {len(t.args)}")
+    args = [_compile_term(A, a, slots) for a in t.args]
     tab = A.table(t.symbol)
-    f0 = _compile_term(A, t.args[0], slots)
-    f1 = _compile_term(A, t.args[1], slots)
+    if arity == 0:
+        return lambda env: tab
+    if arity == 1:
+        f0 = args[0]
+        return lambda env: tab[f0(env)]
+    f0, f1 = args
     return lambda env: tab[f0(env)][f1(env)]
 
 
 def _compile_node(
-    A: "Algebra", node: Node, slots: dict[str, int], depth: int
-) -> Callable[[list], bool]:
+    A: "Algebra", node: Node, slots: dict[str, int]
+) -> tuple[Callable[[list], bool], int, int]:
+    """``(closure, cost, size)`` for ``node`` with ``slots`` mapping the bound
+    variables to their positions ``0 .. len(slots) - 1`` in the slot list.
+
+    ``cost`` bounds the assignments the closure evaluates and ``size`` is the
+    length of slot list it needs.  A quantifier's variables take the next
+    consecutive slots; when it fails, they keep the first failing values.
+    """
     if isinstance(node, Eq):
         lhs = _compile_term(A, node.lhs, slots)
         rhs = _compile_term(A, node.rhs, slots)
-        return lambda env: lhs(env) == rhs(env)
+        return (lambda env: lhs(env) == rhs(env)), 1, len(slots)
     if isinstance(node, Forall):
+        shadowed = set(node.vars) & slots.keys()
+        if shadowed:
+            raise ValueError(f"quantifier re-binds variables: {sorted(shadowed)}")
+        if len(set(node.vars)) != len(node.vars):
+            raise ValueError("duplicate variables in one quantifier block")
+        lo, k = len(slots), len(node.vars)
+        hi = lo + k
         inner = dict(slots)
-        positions = []
-        for v in node.vars:
-            inner[v] = depth
-            positions.append(depth)
-            depth += 1
-        body = _compile_node(A, node.body, inner, depth)
+        inner.update(zip(node.vars, range(lo, hi)))
+        body, cost, size = _compile_node(A, node.body, inner)
         rng = range(A.n)
-        k = len(positions)
 
         def run(env: list) -> bool:
             for vals in product(rng, repeat=k):
-                for p, v in zip(positions, vals):
-                    env[p] = v
+                env[lo:hi] = vals
                 if not body(env):
                     return False
             return True
 
-        return run
+        return run, A.n**k * cost, size
     if isinstance(node, Implies):
-        prem = _compile_node(A, node.premise, slots, depth)
-        conc = _compile_node(A, node.conclusion, slots, depth)
-        return lambda env: (not prem(env)) or conc(env)
+        prem, pc, ps = _compile_node(A, node.premise, slots)
+        conc, cc, cs = _compile_node(A, node.conclusion, slots)
+        return (lambda env: (not prem(env)) or conc(env)), pc + cc, max(ps, cs)
     if isinstance(node, Iff):
-        lhs = _compile_node(A, node.lhs, slots, depth)
-        rhs = _compile_node(A, node.rhs, slots, depth)
-        return lambda env: lhs(env) == rhs(env)
+        lhs, lc, ls = _compile_node(A, node.lhs, slots)
+        rhs, rc, rs = _compile_node(A, node.rhs, slots)
+        return (lambda env: lhs(env) == rhs(env)), lc + rc, max(ls, rs)
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _total_depth(node: Node) -> int:
-    if isinstance(node, Eq):
-        return 0
-    if isinstance(node, Forall):
-        return len(node.vars) + _total_depth(node.body)
-    if isinstance(node, Implies):
-        return max(_total_depth(node.premise), _total_depth(node.conclusion))
-    if isinstance(node, Iff):
-        return max(_total_depth(node.lhs), _total_depth(node.rhs))
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-def check_formula(A: "Algebra", f: Formula, budget: int | None = None) -> Report:
+def check_formula(A: "Algebra", f: Formula) -> Report:
     """Exhaustively check a quantified formula over the algebra.
 
-    Outer assignments are enumerated row-major in the declared variable order,
-    so a failing report always carries the lexicographically first
-    counterexample.  The assignment-count estimate is compared against the
-    budget (``DEFAULT_BUDGET`` when none is given) before any work starts.
+    The outer quantifier runs like any other: its assignments are enumerated
+    row-major in the declared variable order, so a failing report carries the
+    lexicographically first counterexample, read from the outer slots, and
+    counts the assignments up to it.  The cost bound is compared with
+    ``BUDGET`` before any evaluation.
     """
     if not isinstance(f, Forall):
         raise TypeError("expected a top-level quantified formula")
-    validate_formula(A, f)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    cost = formula_cost(f, A.n)
-    if cost > limit:
-        raise BudgetExceeded(f"estimated {cost} assignments exceeds budget {limit}")
-    slots = {v: i for i, v in enumerate(f.vars)}
-    body = _compile_node(A, f.body, slots, len(f.vars))
-    env = [0] * _total_depth(f)
+    run, cost, size = _compile_node(A, f, {})
+    if cost > BUDGET:
+        raise BudgetExceeded(f"estimated {cost} assignments exceeds budget {BUDGET}")
+    env = [0] * size
     k = len(f.vars)
-    count = 0
-    for vals in product(range(A.n), repeat=k):
-        env[:k] = vals
-        count += 1
-        if not body(env):
-            return Report(False, dict(zip(f.vars, vals)), count)
-    return Report(True, None, count)
+    if run(env):
+        return Report(True, None, A.n**k)
+    witness = env[:k]
+    index = 0
+    for v in witness:
+        index = index * A.n + v
+    return Report(False, dict(zip(f.vars, witness)), index + 1)
 
 
 # -- directoid and λ-lattice axioms -------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from helpers import wide_poset
-from ordalg import PROFILES, pc, serialize_poset
+from ordalg import PROFILES, Algebra, induced_order, parse, pc, serialize_poset
 from ordalg.cli import run_cli
 from ordalg.fixtures import FIXTURES_TEXT
 
@@ -96,6 +96,18 @@ def test_assign_choice_flag(fig1_file, capsys):
     assert table[3][4] == 1  # c⊓d = a
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--profile=pc", "--choice", "mete {c,d}=a"], "the kind must be 'meet' or 'join', not 'mete'"),
+    (["--profile=rpc", "--choice", "join {c,d}=1"], "profile rpc has no ⊔"),
+    (["--profile=pc", "--enumerate", "--choice", "meet {c,d}=a"], "--choice does not apply"),
+    (["--profile=pc", "--enumerate", "--verify"], "--verify does not apply"),
+], ids=["kind", "join-without-join", "enumerate-choice", "enumerate-verify"])
+def test_assign_rejects_ignored_overrides(fig1_file, capsys, argv, message):
+    assert run_cli(["assign", fig1_file, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_assign_not_in_class(corpus, capsys):
     code = run_cli(["assign", corpus, "--profile=rpc", "--name", "fig5"])
     assert code == 2
@@ -154,6 +166,32 @@ def test_product_cli(corpus, tmp_path, capsys):
     code = run_cli(["product", corpus, corpus, "--name1", "fig4_spc", "--name2", "fig4_spc", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and len(payload["algebra"]["labels"]) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "{corpus}", "--name", "fig4_spc"],
+    ["decompose", "{corpus}", "--name", "fig1_star"],
+    ["product", "{corpus}", "{corpus}", "--name1", "fig1_rpc", "--name2", "fig1_rpc"],
+    ["product", "{corpus}", "{corpus}", "--name1", "fig4_spc", "--name2", "fig4_spc"],
+], ids=["decomposable", "indecomposable", "product-meet", "product-no-meet"])
+def test_decompose_and_product_text_parses(corpus, capsys, argv):
+    argv = [a.format(corpus=corpus) for a in argv]
+    assert run_cli([*argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert run_cli(argv) == 0
+    doc = parse(capsys.readouterr().out)
+    if argv[0] == "product":
+        expected = {payload["algebra"]["name"]: payload["algebra"]}
+    elif payload["indecomposable"]:
+        expected = {}
+    else:
+        name = payload["algebra"]
+        expected = {f"{name}_left": payload["left"], f"{name}_right": payload["right"]}
+    assert doc.algebras == {name: Algebra.from_json(data) for name, data in expected.items()}
+    for name, A in doc.algebras.items():
+        assert doc.algebra_poset[name] == f"{name}_order"
+        if A.signature.has("⊓", 2):
+            assert doc.posets[f"{name}_order"] == induced_order(A)
 
 
 def test_search_cli(capsys):

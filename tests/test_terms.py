@@ -1,12 +1,32 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import meet_directoid, posets
-from ordalg import Algebra, assign_algebra, fixtures
+from ordalg import Algebra, PROFILES, assign_algebra, fixtures, pc
+from ordalg.algebra import JOIN, MEET
+from ordalg.assign import (
+    _build,
+    _choice_kind,
+    _constant_values,
+    conditions_for,
+    derived_identities_for,
+    enumerate_choices,
+)
+from ordalg.congruence import (
+    _majority_scheme,
+    _maltsev_scheme,
+    _schemes_for_signature,
+    _weak_regularity_scheme,
+)
+from ordalg.enumeration import all_posets
 from ordalg.errors import (
     ArityMismatch,
     BudgetExceeded,
+    NotDirected,
     UnboundVariable,
     UnknownSymbol,
 )
@@ -19,10 +39,11 @@ from ordalg.terms import (
     Implies,
     Report,
     Var,
+    _axiom_set,
+    _compile_node,
     check_formula,
     eval_term,
     evaluate_at,
-    formula_cost,
     render_formula,
     render_term,
 )
@@ -107,19 +128,47 @@ def test_iff_node(fig1_pc):
 
 
 def test_validation_errors(fig1_pc):
-    with pytest.raises(UnboundVariable):
+    with pytest.raises(UnboundVariable, match="'y' is not bound"):
         check_formula(fig1_pc, Forall(("x",), Eq(X, Y)))
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(UnknownSymbol, match="operation '⊔' not in signature"):
         check_formula(fig1_pc, Forall(("x",), Eq(App("⊔", (X, X)), X)))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(UnknownSymbol, match="constant '1' not in signature"):
+        check_formula(fig1_pc, Forall(("x",), Eq(Const("1"), X)))
+    with pytest.raises(ArityMismatch, match=r"'\*' has arity 1, applied to 2"):
         check_formula(fig1_pc, Forall(("x",), Eq(App("*", (X, X)), X)))
+    with pytest.raises(ValueError, match=r"re-binds variables: \['x'\]"):
+        check_formula(fig1_pc, Forall(("x",), Implies(Forall(("x",), Eq(X, X)), Eq(X, X))))
+    with pytest.raises(ValueError, match="duplicate variables"):
+        check_formula(fig1_pc, Forall(("x", "x"), Eq(X, X)))
+    with pytest.raises(TypeError, match="not a formula node"):
+        check_formula(fig1_pc, Forall(("x",), "x = x"))
+    with pytest.raises(TypeError, match="not a term"):
+        check_formula(fig1_pc, Forall(("x",), Eq(X, 0)))
+    with pytest.raises(TypeError, match="top-level quantified"):
+        check_formula(fig1_pc, Eq(X, X))
+
+
+def test_validation_precedes_evaluation(fig1_pc):
+    # the unbound w sits in a conclusion that x = a never reaches
+    f = Forall(("x",), Implies(Eq(X, Const("0")), Eq(X, Var("w"))))
+    assert evaluate_at(fig1_pc, f, {"x": fig1_pc.index("a")})
+    with pytest.raises(UnboundVariable, match="'w' is not bound"):
+        check_formula(fig1_pc, f)
 
 
 def test_budget_guard(fig1_pc):
-    f = Forall(("x", "y", "z"), Eq(m(X, m(Y, Z)), m(m(X, Y), Z)))
-    assert formula_cost(f, 6) == 216
-    with pytest.raises(BudgetExceeded):
-        check_formula(fig1_pc, f, budget=100)
+    # 6**12 = 2,176,782,336 assignments: over the budget before any evaluation
+    names = tuple(f"v{i}" for i in range(12))
+    f = Forall(names, Eq(Var(names[0]), Var(names[-1])))
+    with pytest.raises(BudgetExceeded, match=r"estimated 2176782336 .* budget 1000000000$"):
+        check_formula(fig1_pc, f)
+
+
+def test_compile_cost_and_size(fig1_pc):
+    # sibling blocks share slots: the deeper conclusion sets the size
+    f = Forall(("x",), Implies(Forall(("y",), Eq(X, Y)), Forall(("y", "z"), Eq(Y, Z))))
+    _, cost, size = _compile_node(fig1_pc, f, {})
+    assert (cost, size) == (6 * (6 + 6**2), 3)
 
 
 def test_report_invariants():
@@ -154,3 +203,107 @@ def test_witness_self_falsifying_on_random_directoids(P, salt):
     rep = check_formula(B, f)
     if not rep.holds:
         assert not evaluate_at(B, f, rep.witness)
+
+
+# -- compiled checker against the interpreter ------------------------------------
+
+
+def _interpreted(A, f):
+    """``(holds, witness, checked_count)`` from a row-major ``evaluate_at`` scan."""
+    count = 0
+    for vals in product(range(A.n), repeat=len(f.vars)):
+        count += 1
+        env = dict(zip(f.vars, vals))
+        if not evaluate_at(A, f, env):
+            return False, env, count
+    return True, None, count
+
+
+def _compiled(A, f):
+    rep = check_formula(A, f)
+    return rep.holds, rep.witness, rep.checked_count
+
+
+_SCHEMES = {
+    "majority": lambda sym: _majority_scheme(),
+    "maltsev": _maltsev_scheme,
+    "weak_regularity": _weak_regularity_scheme,
+}
+
+
+def _formulas(profile, A):
+    """The profile's conditions and derived identities, every congruence
+    scheme the signature supports, and the directoid or λ-lattice axioms."""
+    out = [f for _, f in conditions_for(profile)]
+    if profile in ("rpc", "spc1", "sspc"):
+        out += [f for _, f in derived_identities_for(profile)]
+    for scheme, sym in _schemes_for_signature(A):
+        out += [f for _, f in _SCHEMES[scheme](sym)]
+    out += [f for _, f in _axiom_set(MEET, JOIN if A.signature.has(JOIN, 2) else None)]
+    return out
+
+
+def _scrambled(A, rng):
+    """``A`` with one table cell of each operation redrawn."""
+    ops = []
+    for (sym, arity), table in zip(A.signature.symbols, A.tables):
+        if arity == 1:
+            table = list(table)
+            table[rng.randrange(A.n)] = rng.randrange(A.n)
+        elif arity == 2:
+            table = [list(row) for row in table]
+            table[rng.randrange(A.n)][rng.randrange(A.n)] = rng.randrange(A.n)
+        ops.append((sym, arity, table))
+    return Algebra(A.labels, ops)
+
+
+def _assigned_algebras(profile):
+    """The canonical assigned algebra of every directed poset with n <= 4, with
+    best-effort tables and constants outside the class, and a seeded scramble
+    of each."""
+    rng = random.Random(2103)
+    for n in range(1, 5):
+        for P in all_posets(n):
+            try:
+                space = enumerate_choices(P, _choice_kind(profile))
+            except NotDirected:
+                continue
+            cls = pc.classify(P, profile)
+            table = cls.table if cls.holds else pc.best_effort_table(P, profile)
+            constants = _constant_values(P, profile, best_effort=not cls.holds)
+            A = _build(P, profile, space.decode(0), table, constants)
+            yield A
+            yield _scrambled(A, rng)
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+def test_compiled_checker_matches_interpreter(profile):
+    verdicts = set()
+    for A in _assigned_algebras(profile):
+        for f in _formulas(profile, A):
+            expected = _interpreted(A, f)
+            assert _compiled(A, f) == expected, (A, render_formula(f))
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def test_sibling_quantifiers_may_reuse_a_name(fig1_pc):
+    # premise and conclusion each bind z; the two blocks share a slot
+    f = Forall(
+        ("x", "y"),
+        Implies(Forall(("z",), Eq(m(X, Z), m(Z, Y))), Forall(("z",), Eq(m(Z, X), m(Y, Z)))),
+    )
+    g = Forall(("x", "y"), Iff(Forall(("z",), Eq(m(X, Z), Z)), Forall(("z",), Eq(m(Y, Z), Z))))
+    B = _scrambled(fig1_pc, random.Random(5))
+    outcomes = set()
+    for A in (fig1_pc, B):
+        for h in (f, g):
+            assert _compiled(A, h) == _interpreted(A, h)
+            outcomes.add(_compiled(A, h)[0])
+    assert outcomes == {True, False}
+
+
+def test_nullary_application_is_its_constant(fig1_pc):
+    zero = App("0", ())
+    f = Forall(("x",), Eq(m(X, zero), zero))
+    assert _compiled(fig1_pc, f) == _interpreted(fig1_pc, f) == (True, None, 6)
