@@ -54,7 +54,7 @@ from .decompose import (
     quotient,
 )
 from .dsl import Document, parse, serialize, serialize_algebra, serialize_poset
-from .enumeration import all_posets, are_isomorphic, canonical_key, random_poset
+from .enumeration import all_posets, canonical_key, random_poset
 from .errors import OrdalgError
 from .fixtures import FIXTURES_TEXT, fixtures
 from .pc import (
@@ -66,7 +66,6 @@ from .pc import (
     sectional_pseudocomplement,
 )
 from .poset import (
-    ConeResult,
     DirectednessReport,
     DistributivityReport,
     Poset,
@@ -75,8 +74,6 @@ from .poset import (
     extremes,
     is_distributive,
     is_lattice,
-    lower_cone,
-    upper_cone,
 )
 from .search import SearchSpec, parse_predicate, search
 from .terms import (

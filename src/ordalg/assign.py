@@ -13,8 +13,12 @@ bottom and ``1`` the top.
 An assignment fixes ``x⊓y = min(x,y)`` on comparable pairs and an arbitrary
 element of the lower cone on incomparable ones (dually for ``⊔``), so the
 choice space is the product of the incomparable pairs' cones, and
-:class:`ChoiceSpace` numbers its assignments in mixed radix.  Each profile
-has the quantified conditions that characterize its poset class
+:class:`ChoiceSpace` numbers its assignments in mixed radix.  Index 0 is the
+canonical choice: the smallest-index cone element for every pair.  A choice
+given to :func:`assign_algebra` (or by ``--choice`` or a DSL ``choice`` line)
+overrides the canonical one on the pairs it names, and every other
+incomparable pair takes the canonical element.  Each profile has the
+quantified conditions that characterize its poset class
 (:func:`conditions_for`), and some have derived identities that must then
 follow (:func:`derived_identities_for`).
 """
@@ -30,7 +34,6 @@ from . import pc
 from .algebra import CIRC, JOIN, MEET, ONE, STAR, ZERO, Algebra, Signature
 from .errors import (
     InvalidChoice,
-    MissingChoice,
     MissingStructure,
     MissingSymbol,
     NotDirected,
@@ -158,28 +161,26 @@ def canonical_choice(P: Poset, kind: str) -> Choice:
     return ChoiceSpace(P, kind).decode(0)
 
 
-def _normalize_choice(P: Poset, kind: str, choice: Choice | None) -> Choice:
-    if choice is None:
-        return canonical_choice(P, kind)
-    out: Choice = {}
-    for (x, y), v in choice.items():
+def _override_choice(P: Poset, kind: str, overrides: Choice | None) -> Choice:
+    """The canonical ``kind`` choice with ``overrides`` laid over it.
+
+    Raises :class:`NotDirected` when a ``kind`` cone is empty and
+    :class:`InvalidChoice` for an override on a comparable pair or outside
+    its pair's cone.
+    """
+    out = canonical_choice(P, kind)
+    for (x, y), v in (overrides or {}).items():
         if P.comparable(x, y):
             raise InvalidChoice(
                 f"{P.labels[x]},{P.labels[y]} are comparable; their {kind} is forced"
             )
-        key = (x, y) if x < y else (y, x)
         cone = P.down[x] & P.down[y] if kind == "meet" else P.up[x] & P.up[y]
         if not (cone >> v) & 1:
             raise InvalidChoice(
                 f"{P.labels[v]} is outside the {kind} cone of "
                 f"{{{P.labels[x]},{P.labels[y]}}}"
             )
-        out[key] = v
-    for x, y in incomparable_pairs(P):
-        if (x, y) not in out:
-            raise MissingChoice(
-                f"no {kind} choice for incomparable pair {{{P.labels[x]},{P.labels[y]}}}"
-            )
+        out[(x, y) if x < y else (y, x)] = v
     return out
 
 
@@ -245,17 +246,22 @@ def assign_algebra(
     meet: Choice | None = None,
     join: Choice | None = None,
 ) -> Algebra:
-    """Assigned algebra for the profile; canonical choices when none given.
+    """The profile's assigned algebra.
 
-    Raises :class:`MissingStructure` when the poset is not in the profile's
-    class (the derived operation would be partial) and :class:`NotDirected`
-    when the required directoid does not exist.
+    ``meet`` and ``join`` override the canonical choice on the pairs they
+    name; every other incomparable pair takes the canonical element.  The
+    choices are checked before the poset is classified: first a ``join``
+    choice on a profile without ``⊔`` (:class:`InvalidChoice`), then the meet
+    choice, then the join choice (:class:`NotDirected` when a required cone
+    is empty, :class:`InvalidChoice` for a bad override).  Raises
+    :class:`MissingStructure` when the poset is not in the profile's class.
     """
-    kind = _choice_kind(profile)
+    lam = _choice_kind(profile) == "lambda"
+    if join and not lam:
+        raise InvalidChoice(f"profile {profile} has no ⊔: a join choice does not apply")
+    meet = _override_choice(P, "meet", meet)
+    choice = (meet, _override_choice(P, "join", join)) if lam else meet
     table = _class_table(P, profile)
-    join = _normalize_choice(P, "join", join) if kind == "lambda" else None
-    meet = _normalize_choice(P, "meet", meet)
-    choice = (meet, join) if kind == "lambda" else meet
     return _build(P, profile, choice, table, _constant_values(P, profile, False))
 
 

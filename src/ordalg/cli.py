@@ -16,9 +16,7 @@ from .algebra import Algebra, induced_order
 from .assign import (
     AUDIT_BUDGET,
     PROFILES,
-    _choice_kind,
     assign_algebra,
-    canonical_choice,
     enumerate_assignments,
     theorem_equivalence_audit,
     verify_assigned_conditions,
@@ -130,7 +128,8 @@ def _cmd_check(args) -> int:
 
 
 def _parse_choice_args(P, texts) -> dict[str, dict]:
-    """``--choice`` overrides as ``{"meet": {pair: value}, "join": {...}}``."""
+    """``--choice`` overrides as ``{"meet": {pair: value}, "join": {...}}``,
+    the keyword arguments of :func:`assign_algebra`."""
     chosen: dict[str, dict] = {"meet": {}, "join": {}}
     for text in texts or ():
         try:
@@ -146,7 +145,14 @@ def _parse_choice_args(P, texts) -> dict[str, dict]:
     return chosen
 
 
+def _check_limit(limit: int | None) -> None:
+    """Reject a negative ``--limit``; 0, like no option, means no cap."""
+    if limit is not None and limit < 0:
+        raise OrdalgError(f"--limit must be at least 0, got {limit}")
+
+
 def _cmd_assign(args) -> int:
+    _check_limit(args.limit)
     doc = _load(args.file)
     pname, P = doc.the_poset(args.name)
     emitted = []
@@ -166,13 +172,9 @@ def _cmd_assign(args) -> int:
             emitted.append({"name": aname, **A.to_json()})
             lines.append(serialize_algebra(aname, A, pname))
     else:
-        chosen = _parse_choice_args(P, args.choice)
-        lam = _choice_kind(args.profile) == "lambda"
-        if chosen["join"] and not lam:
-            raise OrdalgError(f"profile {args.profile} has no ⊔: a join --choice does not apply")
-        full_meet = {**canonical_choice(P, "meet"), **chosen["meet"]}
-        full_join = {**canonical_choice(P, "join"), **chosen["join"]} if lam else None
-        A = assign_algebra(P, args.profile, meet=full_meet, join=full_join)
+        if args.limit is not None:
+            raise OrdalgError("--limit applies only with --enumerate")
+        A = assign_algebra(P, args.profile, **_parse_choice_args(P, args.choice))
         aname = f"{pname}_{args.profile}"
         emitted.append({"name": aname, **A.to_json()})
         lines.append(serialize_algebra(aname, A, pname))
@@ -344,6 +346,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_limit(args.limit)
     try:
         lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n),) * 2
     except ValueError:
@@ -415,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="'meet {x,y}=z'",
         help="override one canonical cone choice (repeatable)",
     )
-    sp.add_argument("--limit", type=int, default=0, help="cap --enumerate output")
+    sp.add_argument("--limit", type=int, help="cap --enumerate output (0: no cap)")
     sp.add_argument("--verify", action="store_true", help="also run the conditions")
     common(sp)
     sp.set_defaults(func=_cmd_assign)
@@ -456,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--where", required=True)
     sp.add_argument("--random", type=int, default=0, metavar="COUNT")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--limit", type=int, default=0)
+    sp.add_argument("--limit", type=int, default=0, help="cap the hits (0: no cap)")
     common(sp)
     sp.set_defaults(func=_cmd_search)
 

@@ -1,8 +1,9 @@
 """Congruences of finite algebras, the congruence lattice, and term schemes.
 
-Partitions are canonicalized as block-leader tuples (every element maps to
-the least element of its block), so congruence equality is plain tuple
-equality.
+A partition is always a :class:`Congruence`, canonicalized as a block-leader
+tuple (every element maps to the least element of its block), so congruence
+equality is plain tuple equality; ``Congruence.from_blocks`` builds one from
+a block list.
 
 One union-find, ``_close``, serves every closure: a join merges the pairs of
 two partitions, and a principal congruence Cg(a, b) merges (a, b) and then
@@ -123,25 +124,16 @@ def _canonical_rep(assign: Sequence) -> tuple[int, ...]:
     return tuple(rep)
 
 
-def normalize_partition(partition, n: int) -> Congruence:
-    """Accept a Congruence, a rep sequence, or iterable blocks."""
-    if isinstance(partition, Congruence):
-        if partition.n != n:
-            raise BadPartition("partition is over a different carrier size")
-        return partition
-    if all(isinstance(e, int) for e in partition):
-        if len(tuple(partition)) != n:
-            raise BadPartition("rep sequence length differs from the carrier")
-        return Congruence(_canonical_rep(tuple(partition)))
-    return Congruence.from_blocks(partition, n)
-
-
 # -- compatibility, principal congruences, generation ---------------------------
 
 
-def is_congruence(A: Algebra, partition) -> tuple[bool, dict | None]:
-    """Exhaustive compatibility check; returns a violating tuple on failure."""
-    theta = normalize_partition(partition, A.n)
+def is_congruence(A: Algebra, theta: Congruence) -> tuple[bool, dict | None]:
+    """Exhaustive compatibility check; returns a violating tuple on failure.
+
+    Raises :class:`BadPartition` when ``theta`` is over another carrier size.
+    """
+    if theta.n != A.n:
+        raise BadPartition(f"partition of {theta.n} elements on a carrier of {A.n}")
     rep = theta.rep
     n = A.n
     related_pairs = [
@@ -277,8 +269,6 @@ class CongruenceLattice:
     join_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
     hasse: tuple[tuple[int, int], ...]
-    validated: bool
-    note: str = ""
 
     def __len__(self) -> int:
         return len(self.congruences)
@@ -357,14 +347,12 @@ def all_congruences_bruteforce(A: Algebra, guard: int = BRUTE_FORCE_GUARD) -> tu
     return tuple(sorted(out, key=lambda c: c.rep))
 
 
-def congruence_lattice(A: Algebra, validate: bool = False) -> CongruenceLattice:
+def congruence_lattice(A: Algebra) -> CongruenceLattice:
     """All congruences with join/meet tables and the Hasse relation.
 
     Generation joins principal congruences (see ``_generate_congruences``)
     and raises ``BudgetExceeded`` once it finds more than ``MAX_CONGRUENCES``.
-    With ``validate`` the partition-scan oracle cross-checks completeness;
-    when the carrier exceeds the guard the validation is skipped and flagged
-    instead of raising, so generation still runs.
+    ``all_congruences_bruteforce`` is the independent oracle for the list.
 
     The order comes from relation bitsets.  Congruence i is held as one int
     ``mask[i]`` with the block of element a at bits n·a .. n·a + n - 1, so
@@ -375,18 +363,6 @@ def congruence_lattice(A: Algebra, validate: bool = False) -> CongruenceLattice:
     lies strictly above i and strictly above no m that lies strictly above i.
     """
     cons = _generate_congruences(A)
-    validated = False
-    note = ""
-    if validate:
-        if A.n <= BRUTE_FORCE_GUARD:
-            brute = list(all_congruences_bruteforce(A))
-            if brute != cons:
-                raise AssertionError(
-                    "closure-generated congruences disagree with the partition scan"
-                )
-            validated = True
-        else:
-            note = f"carrier {A.n} exceeds validation guard {BRUTE_FORCE_GUARD}; scan skipped"
     n, k = A.n, len(cons)
     masks = [
         sum(block << (n * a) for a, block in enumerate(c.block_masks())) for c in cons
@@ -403,7 +379,7 @@ def congruence_lattice(A: Algebra, validate: bool = False) -> CongruenceLattice:
         for m in bits(strict):
             above_cover |= up[m] & ~(1 << m)
         hasse.extend((i, j) for j in bits(strict & ~above_cover))
-    return CongruenceLattice(tuple(cons), join_t, meet_t, tuple(hasse), validated, note)
+    return CongruenceLattice(tuple(cons), join_t, meet_t, tuple(hasse))
 
 
 # -- congruence properties ---------------------------------------------------------

@@ -20,7 +20,6 @@ from .congruence import (
     is_congruence,
     join2,
     meet2,
-    normalize_partition,
 )
 from .enumeration import refine_colours
 from .errors import NotACongruence, SignatureMismatch, SizeGuardExceeded
@@ -61,9 +60,8 @@ def direct_product(A1: Algebra, A2: Algebra) -> Algebra:
     return Algebra(labels, ops)
 
 
-def quotient(A: Algebra, theta) -> Algebra:
+def quotient(A: Algebra, theta: Congruence) -> Algebra:
     """Quotient algebra on blocks; well-definedness comes from compatibility."""
-    theta = normalize_partition(theta, A.n)
     ok, violation = is_congruence(A, theta)
     if not ok:
         raise NotACongruence(f"partition is not compatible: {violation!r}")
@@ -328,11 +326,10 @@ def kernel_of_projection(A1: Algebra, A2: Algebra, which: int) -> Congruence:
 
 
 def is_directly_decomposable_congruence(
-    A1: Algebra, A2: Algebra, theta
+    A1: Algebra, A2: Algebra, theta: Congruence
 ) -> tuple[bool, tuple[Congruence, Congruence] | None]:
     """Search Con(A1) × Con(A2) for a pair whose product relation equals θ."""
     prod = direct_product(A1, A2)
-    theta = normalize_partition(theta, prod.n)
     ok, violation = is_congruence(prod, theta)
     if not ok:
         raise NotACongruence(f"input is not a congruence of the product: {violation!r}")

@@ -16,10 +16,11 @@ indentation are ignored)::
       choice meet {x,y}=z              # derive ⊓ from the assignment rule
       choice join {x,y}=z              # derive ⊔ dually
 
-Choice lines synthesize the corresponding table with the canonical
-smallest-index choice for any incomparable pair not mentioned.  Serialization
-always emits explicit tables (row form for binary operations), and
-``parse(serialize(doc)) == doc``.
+Choice lines override the canonical choice on the pairs they name, by the
+rule of :func:`ordalg.assign.assign_algebra` (see the :mod:`ordalg.assign`
+docstring): every incomparable pair not mentioned takes the canonical
+element.  Serialization always emits explicit tables (row form for binary
+operations), and ``parse(serialize(doc)) == doc``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import JOIN, MEET, Algebra
-from .assign import _normalize_choice, canonical_choice, table_from_choice
+from .assign import _override_choice, table_from_choice
 from .errors import InvalidChoice, OrdalgError, ParseError
 from .poset import Poset, build_poset
 
@@ -152,11 +153,12 @@ class _Parser:
                     f"algebra gives both an explicit {sym} table and {kind} choices",
                 )
             line = b.choice_lines[kind]
-            choice = canonical_choice(P, kind)
-            for (la, lb), lv in b.choices[kind].items():
-                choice[(to_index(la, line), to_index(lb, line))] = to_index(lv, line)
+            overrides = {
+                (to_index(la, line), to_index(lb, line)): to_index(lv, line)
+                for (la, lb), lv in b.choices[kind].items()
+            }
             try:
-                choice = _normalize_choice(P, kind, choice)
+                choice = _override_choice(P, kind, overrides)
             except InvalidChoice as e:
                 raise ParseError(line, str(e)) from e
             ops.append((sym, 2, table_from_choice(P, choice, kind)))

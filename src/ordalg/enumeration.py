@@ -119,10 +119,6 @@ def canonical_key(P: Poset) -> tuple:
     return (n, tuple(len(classes[r]) for r in sorted(classes))) + best[0]
 
 
-def are_isomorphic(P: Poset, Q: Poset) -> bool:
-    return P.n == Q.n and canonical_key(P) == canonical_key(Q)
-
-
 def down_set_masks(P: Poset) -> list[int]:
     """All down-sets (order ideals) of P as bitsets, including 0 and P, ascending.
 
@@ -196,12 +192,13 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     return tuple(Q for _, Q in sorted(found))
 
 
-def random_poset(rng: random.Random, n: int, edge_prob: float = 0.5) -> Poset:
-    """Transitive closure of a random DAG on index order."""
+def random_poset(rng: random.Random, n: int) -> Poset:
+    """Transitive closure of a random DAG on index order, each edge i→j
+    (i < j) drawn with probability 1/2."""
     up = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.5:
                 up[i] |= 1 << j
     up = closure_rows(up, n)
     down = [0] * n

@@ -55,10 +55,6 @@ class MissingStructure(OrdalgError):
     pass
 
 
-class MissingChoice(OrdalgError):
-    pass
-
-
 class InvalidChoice(OrdalgError):
     pass
 

@@ -3,8 +3,8 @@
 Elements are the indices 0..n-1; ``down[x]`` and ``up[x]`` are Python ints
 used as bitsets of ``{y : y <= x}`` and ``{y : x <= y}``.  A poset of up to
 64 elements therefore keeps one machine word per relation row; larger
-carriers still work (ints grow), the default constructor cap just guards
-against accidentally huge inputs.
+carriers still work (ints grow), and :func:`build_poset` caps carriers at
+``MAX_CARRIER`` only to guard against accidentally huge inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     UnknownLabel,
 )
 
-DEFAULT_MAX_SIZE = 64
+MAX_CARRIER = 64
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -40,14 +40,6 @@ def closure_rows(rows: list[int], n: int) -> list[int]:
             if out[i] & bit:
                 out[i] |= out[k]
     return out
-
-
-@dataclass(frozen=True)
-class ConeResult:
-    """Lower or upper cone of a generator set."""
-
-    members: frozenset[int]
-    generator: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -150,12 +142,6 @@ class Poset:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    def mask(self, elems: Iterable[int]) -> int:
-        m = 0
-        for e in elems:
-            m |= 1 << e
-        return m
-
     # -- order primitives ----------------------------------------------------
 
     def leq(self, x: int, y: int) -> bool:
@@ -226,7 +212,6 @@ class Poset:
 def build_poset(
     labels: Iterable[str],
     pairs: Iterable[tuple[str, str]],
-    max_size: int = DEFAULT_MAX_SIZE,
 ) -> Poset:
     """Build a poset from order pairs ``a <= b`` (covers or arbitrary pairs).
 
@@ -238,8 +223,8 @@ def build_poset(
         seen: set[str] = set()
         dup = next(l for l in labels if l in seen or seen.add(l))  # type: ignore[func-returns-value]
         raise DuplicateLabel(f"duplicate label {dup!r}")
-    if len(labels) > max_size:
-        raise ValueError(f"carrier size {len(labels)} exceeds max_size={max_size}")
+    if len(labels) > MAX_CARRIER:
+        raise ValueError(f"carrier size {len(labels)} exceeds {MAX_CARRIER}")
     index = {l: i for i, l in enumerate(labels)}
     n = len(labels)
     up = [0] * n
@@ -260,18 +245,6 @@ def build_poset(
         for y in bits(up[x]):
             down[y] |= 1 << x
     return Poset(labels, down)
-
-
-def lower_cone(P: Poset, S: Iterable[int]) -> ConeResult:
-    """L(S): everything below every member of S; L(emptyset) is all of P."""
-    gen = frozenset(S)
-    return ConeResult(frozenset(bits(P.lower_mask(P.mask(gen)))), gen)
-
-
-def upper_cone(P: Poset, S: Iterable[int]) -> ConeResult:
-    """U(S): everything above every member of S."""
-    gen = frozenset(S)
-    return ConeResult(frozenset(bits(P.upper_mask(P.mask(gen)))), gen)
 
 
 def directedness(P: Poset) -> DirectednessReport:

@@ -103,10 +103,6 @@ class Report:
             raise ValueError("a failing report must carry a witness")
 
 
-def all_hold(reports: Mapping[str, Report]) -> bool:
-    return all(r.holds for r in reports.values())
-
-
 # -- rendering ---------------------------------------------------------------
 
 

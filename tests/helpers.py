@@ -36,6 +36,11 @@ def idx(P: Poset, *labels: str):
     return out[0] if len(out) == 1 else out
 
 
+def all_hold(reports) -> bool:
+    """Every report in a ``{name: Report}`` mapping holds."""
+    return all(r.holds for r in reports.values())
+
+
 def labset(P: Poset, members) -> set[str]:
     return {P.labels[i] for i in members}
 

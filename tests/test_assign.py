@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from helpers import (
+    all_hold,
     bounded_posets,
     idx,
     join_directoid,
@@ -35,13 +36,11 @@ from ordalg.algebra import JOIN, MEET, ONE, STAR, ZERO
 from ordalg.assign import ChoiceSpace, _sample_indices, enumerate_assignments
 from ordalg.errors import (
     InvalidChoice,
-    MissingChoice,
     MissingStructure,
     NotDirected,
     OrdalgError,
 )
 from ordalg.poset import directedness
-from ordalg.terms import all_hold
 
 
 def _raw_choice_count(P, kind):
@@ -137,12 +136,37 @@ def test_assign_fig1_pc_with_choice(fig1):
 
 def test_assign_rejects_bad_choices(fig1):
     zero, a, b, c, d = idx(fig1, "0", "a", "b", "c", "d")
-    with pytest.raises(MissingChoice):
-        assign_algebra(fig1, "pc", meet={(a, b): zero})
     with pytest.raises(InvalidChoice):
         assign_algebra(fig1, "pc", meet={(a, b): zero, (c, d): fig1.index("1")})
     with pytest.raises(InvalidChoice):
         assign_algebra(fig1, "pc", meet={(a, b): zero, (c, d): a, (a, c): a})
+
+
+def test_partial_choice_keeps_canonical_elsewhere(fig1):
+    # only {c,d} is overridden: every other pair takes the canonical element
+    a, c, d = idx(fig1, "a", "c", "d")
+    for profile in ("spc", "sspc"):
+        canonical = assign_algebra(fig1, profile)
+        A = assign_algebra(fig1, profile, meet={(d, c): a})
+        for sym in (MEET, JOIN):
+            for x in range(fig1.n):
+                for y in range(fig1.n):
+                    expected = a if sym == MEET and {x, y} == {c, d} else canonical.table(sym)[x][y]
+                    assert A.table(sym)[x][y] == expected
+
+
+def test_join_choice_without_join_rejected(fig1):
+    a, b, c = idx(fig1, "a", "b", "c")
+    for profile in ("pc", "rpc"):
+        with pytest.raises(InvalidChoice, match=f"profile {profile} has no ⊔"):
+            assign_algebra(fig1, profile, join={(a, b): c})
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+def test_assign_not_directed_before_class(fig4, profile):
+    # fig4 is not down-directed; the choice is checked before the class
+    with pytest.raises(NotDirected):
+        assign_algebra(fig4, profile)
 
 
 def test_assign_missing_structure(fig5):

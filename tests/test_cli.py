@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from helpers import wide_poset
-from ordalg import PROFILES, Algebra, induced_order, parse, pc, serialize_poset
+from helpers import idx, wide_poset
+from ordalg import PROFILES, Algebra, assign_algebra, induced_order, parse, pc, serialize_poset
+from ordalg.algebra import MEET
 from ordalg.cli import run_cli
 from ordalg.fixtures import FIXTURES_TEXT
 
@@ -101,7 +102,13 @@ def test_assign_choice_flag(fig1_file, capsys):
     (["--profile=rpc", "--choice", "join {c,d}=1"], "profile rpc has no ⊔"),
     (["--profile=pc", "--enumerate", "--choice", "meet {c,d}=a"], "--choice does not apply"),
     (["--profile=pc", "--enumerate", "--verify"], "--verify does not apply"),
-], ids=["kind", "join-without-join", "enumerate-choice", "enumerate-verify"])
+    (["--profile=pc", "--limit", "1"], "--limit applies only with --enumerate"),
+    (["--profile=pc", "--limit", "0"], "--limit applies only with --enumerate"),
+    (["--profile=pc", "--enumerate", "--limit", "-1"], "--limit must be at least 0, got -1"),
+    (["--profile=pc", "--limit", "-1"], "--limit must be at least 0, got -1"),
+], ids=["kind", "join-without-join", "enumerate-choice", "enumerate-verify",
+        "limit-without-enumerate", "limit-0-without-enumerate", "enumerate-negative-limit",
+        "negative-limit"])
 def test_assign_rejects_ignored_overrides(fig1_file, capsys, argv, message):
     assert run_cli(["assign", fig1_file, *argv]) == 2
     captured = capsys.readouterr()
@@ -198,6 +205,24 @@ def test_search_cli(capsys):
     code = run_cli(["search", "--n=2..3", "--where", "pseudocomplemented"])
     out = capsys.readouterr().out
     assert code == 0 and "poset hit0" in out and "hit(s)" in out
+
+
+def test_search_rejects_negative_limit(capsys):
+    code = run_cli(["search", "--n=2..3", "--where", "pseudocomplemented", "--limit", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--limit must be at least 0, got -1" in captured.err
+
+
+def test_choice_override_same_everywhere(fig1, fig1_file, capsys):
+    # {c,d}=a through the library, --choice and a DSL choice line
+    a, c, d = idx(fig1, "a", "c", "d")
+    library = assign_algebra(fig1, "pc", meet={(c, d): a}).table(MEET)
+    assert run_cli(["assign", fig1_file, "--profile=pc", "--choice", "meet {c,d}=a", "--json"]) == 0
+    cli = json.loads(capsys.readouterr().out)["algebras"][0]["operations"][0]["table"]
+    dsl = parse(serialize_poset("fig1", fig1) + "algebra m on fig1\n  choice meet {c,d}=a\n")
+    assert dsl.algebras["m"].table(MEET) == tuple(map(tuple, cli)) == library
+    assert library[c][d] == a
 
 
 def test_fixtures_cli(capsys):

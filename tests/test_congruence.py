@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_hold,
     bounded_posets,
     distributive_oracle,
     lambda_algebra,
@@ -23,9 +24,8 @@ from ordalg import (
     verify_term_conditions,
 )
 from ordalg.algebra import MEET, STAR, ZERO
-from ordalg.congruence import BRUTE_FORCE_GUARD, join2, meet2
+from ordalg.congruence import join2, meet2
 from ordalg.errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
-from ordalg.terms import all_hold
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,18 @@ def test_is_congruence_trivial(two_chain_star):
 
 def test_is_congruence_violation(fig1_rpc_alg):
     # collapsing {0, a} only is not compatible with the rpc operation
-    ok, violation = is_congruence(fig1_rpc_alg, [[0, 1], [2], [3], [4], [5]])
+    ok, violation = is_congruence(fig1_rpc_alg, Congruence.from_blocks([[0, 1], [2], [3], [4], [5]], 6))
     assert not ok and violation["op"] in ("*", "⊓")
+
+
+def test_wrong_carrier_rejected(two_chain_star):
+    from ordalg import quotient
+
+    for theta in (Congruence.identity(3), Congruence.total(1)):
+        with pytest.raises(BadPartition):
+            is_congruence(two_chain_star, theta)
+        with pytest.raises(BadPartition):
+            quotient(two_chain_star, theta)
 
 
 def test_principal_reflexive(two_chain_star):
@@ -83,24 +93,16 @@ def test_principal_minimality_fig1(fig1_rpc_alg):
 
 
 def test_lattice_two_element(two_chain_star):
-    lat = congruence_lattice(two_chain_star, validate=True)
-    assert len(lat) == 2 and lat.validated
+    lat = congruence_lattice(two_chain_star)
+    assert len(lat) == 2 and lat.congruences == all_congruences_bruteforce(two_chain_star)
     assert lat.congruences[0].is_total or lat.congruences[0].is_identity
 
 
 def test_lattice_fig1_cross_validated(figs):
     A = assign_algebra(figs.posets["fig1"], "pc")
-    lat = congruence_lattice(A, validate=True)
-    assert lat.validated
+    lat = congruence_lattice(A)
+    assert lat.congruences == all_congruences_bruteforce(A)
     assert set(lat.congruences) == set(all_congruences_bruteforce(A))
-
-
-def test_lattice_validation_guard_flags(figs):
-    chain = build_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
-    A = direct_product(assign_algebra(figs.posets["fig1"], "rpc"), assign_algebra(chain, "rpc"))
-    assert A.n == 18 > BRUTE_FORCE_GUARD
-    lat = congruence_lattice(A, validate=True)
-    assert not lat.validated and "guard" in lat.note
 
 
 def test_bruteforce_guard():
@@ -114,7 +116,8 @@ def test_product_kernels_in_lattice(two_chain_star):
     from ordalg import direct_product, kernel_of_projection
 
     prod = direct_product(two_chain_star, two_chain_star)
-    lat = congruence_lattice(prod, validate=True)
+    lat = congruence_lattice(prod)
+    assert lat.congruences == all_congruences_bruteforce(prod)
     k0 = kernel_of_projection(two_chain_star, two_chain_star, 0)
     k1 = kernel_of_projection(two_chain_star, two_chain_star, 1)
     assert k0 in lat.congruences and k1 in lat.congruences
@@ -218,7 +221,9 @@ def projection_algebra(n: int) -> Algebra:
 
 def test_projection_algebra_has_every_partition():
     # Bell(6) = 203
-    assert len(congruence_lattice(projection_algebra(6), validate=True)) == 203
+    A = projection_algebra(6)
+    lat = congruence_lattice(A)
+    assert len(lat) == 203 and lat.congruences == all_congruences_bruteforce(A)
 
 
 def assert_lattice_matches_oracle(A, lat=None):

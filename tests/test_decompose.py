@@ -82,7 +82,7 @@ def test_quotient_by_kernel_gives_other_factor(C2_rpc):
 def test_quotient_rejects_non_congruence(C2_rpc):
     prod = direct_product(C2_rpc, C2_rpc)
     with pytest.raises(NotACongruence):
-        quotient(prod, [[0, 1], [2], [3]])
+        quotient(prod, Congruence.from_blocks([[0, 1], [2], [3]], 4))
 
 
 def test_factor_pair_validation(C2_rpc):
@@ -197,7 +197,9 @@ def test_directly_decomposable_trivial(C2_rpc):
 
 def test_directly_decomposable_rejects_non_congruence(C2_rpc):
     with pytest.raises(NotACongruence):
-        is_directly_decomposable_congruence(C2_rpc, C2_rpc, [[0, 3], [1], [2]])
+        is_directly_decomposable_congruence(
+            C2_rpc, C2_rpc, Congruence.from_blocks([[0, 3], [1], [2]], 4)
+        )
 
 
 def test_lambda_square_every_congruence_decomposable(two_chain):
