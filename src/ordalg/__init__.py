@@ -16,7 +16,6 @@ from .algebra import (
     Algebra,
     Signature,
     induced_order,
-    verify_axioms,
 )
 from .assign import (
     PROFILES,
@@ -29,6 +28,7 @@ from .assign import (
     enumerate_choices,
     theorem_equivalence_audit,
     verify_assigned_conditions,
+    verify_axioms,
     verify_derived_identities,
 )
 from .congruence import (

@@ -7,7 +7,6 @@ from typing import Iterable
 
 from .errors import MissingSymbol, UnknownLabel, UnknownSymbol
 from .poset import Poset
-from .terms import Report, _axiom_set, check_formula
 
 # Canonical operation symbols used throughout the package.
 MEET = "⊓"
@@ -169,21 +168,3 @@ def induced_order(A: Algebra, kind: str = "meet") -> Poset:
                 down[y] |= 1 << x
     return Poset(A.labels, down)
 
-
-def verify_axioms(A: Algebra, cls: str) -> dict[str, Report]:
-    """Check the identity set of a directoid / λ-lattice class, one report each."""
-    if cls == "meet_directoid":
-        required = [(MEET, 2)]
-        axioms = _axiom_set(MEET, None)
-    elif cls == "join_directoid":
-        required = [(JOIN, 2)]
-        axioms = _axiom_set(JOIN, None)
-    elif cls == "lambda_lattice":
-        required = [(MEET, 2), (JOIN, 2)]
-        axioms = _axiom_set(MEET, JOIN)
-    else:
-        raise ValueError(f"unknown axiom class {cls!r}")
-    for sym, ar in required:
-        if not A.signature.has(sym, ar):
-            raise MissingSymbol(f"algebra has no binary {sym}")
-    return {name: check_formula(A, f) for name, f in axioms}

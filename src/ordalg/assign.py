@@ -20,7 +20,9 @@ overrides the canonical one on the pairs it names, and every other
 incomparable pair takes the canonical element.  Each profile has the
 quantified conditions that characterize its poset class
 (:func:`conditions_for`), and some have derived identities that must then
-follow (:func:`derived_identities_for`).
+follow (:func:`derived_identities_for`).  The axioms of commutative meet and
+join directoids and of λ-lattices, which every assignment satisfies, are
+checked by :func:`verify_axioms`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .terms import (
     Report,
     Var,
     check_formula,
+    render_formula,
 )
 
 Choice = dict[tuple[int, int], int]
@@ -443,6 +446,51 @@ def derived_identities_for(profile: str) -> tuple[tuple[str, Formula], ...]:
 
 def verify_derived_identities(A: Algebra, profile: str) -> dict[str, Report]:
     return {name: check_formula(A, f) for name, f in derived_identities_for(profile)}
+
+
+# -- directoid and λ-lattice axioms -------------------------------------------------
+
+# each axiom class: its meet symbol, then its join symbol for a λ-lattice
+_AXIOM_CLASSES = {
+    "meet_directoid": (MEET,),
+    "join_directoid": (JOIN,),
+    "lambda_lattice": (MEET, JOIN),
+}
+
+
+def _axiom_set(sym_meet: str, sym_join: str | None = None) -> tuple[tuple[str, Formula], ...]:
+    """The commutative directoid axioms of ``sym_meet``; with ``sym_join``,
+    the λ-lattice axioms of the pair.  Each is named by its rendering."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    m = lambda a, b: App(sym_meet, (a, b))
+    if sym_join is None:
+        axioms = [
+            Forall(("x",), Eq(m(x, x), x)),
+            Forall(("x", "y"), Eq(m(x, y), m(y, x))),
+            Forall(("x", "y", "z"), Eq(m(x, m(m(x, y), z)), m(m(x, y), z))),
+        ]
+    else:
+        j = lambda a, b: App(sym_join, (a, b))
+        axioms = [
+            Forall(("x", "y"), Eq(j(x, y), j(y, x))),
+            Forall(("x", "y"), Eq(m(x, y), m(y, x))),
+            Forall(("x", "y", "z"), Eq(j(x, j(j(x, y), z)), j(j(x, y), z))),
+            Forall(("x", "y", "z"), Eq(m(x, m(m(x, y), z)), m(m(x, y), z))),
+            Forall(("x", "y"), Eq(m(j(x, y), x), x)),
+            Forall(("x", "y"), Eq(j(m(x, y), x), x)),
+        ]
+    return tuple((render_formula(a), a) for a in axioms)
+
+
+def verify_axioms(A: Algebra, cls: str) -> dict[str, Report]:
+    """Check the identity set of a directoid / λ-lattice class, one report each."""
+    if cls not in _AXIOM_CLASSES:
+        raise ValueError(f"unknown axiom class {cls!r}")
+    symbols = _AXIOM_CLASSES[cls]
+    for sym in symbols:
+        if not A.signature.has(sym, 2):
+            raise MissingSymbol(f"algebra has no binary {sym}")
+    return {name: check_formula(A, f) for name, f in _axiom_set(*symbols)}
 
 
 # -- theorem equivalence audit ------------------------------------------------------

@@ -33,7 +33,11 @@ SCHEMA_VERSION = 1
 
 
 def _load(path: str) -> Document:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OrdalgError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from e
+    return parse(text)
 
 
 def _labels(P, value):
@@ -145,14 +149,15 @@ def _parse_choice_args(P, texts) -> dict[str, dict]:
     return chosen
 
 
-def _check_limit(limit: int | None) -> None:
-    """Reject a negative ``--limit``; 0, like no option, means no cap."""
-    if limit is not None and limit < 0:
-        raise OrdalgError(f"--limit must be at least 0, got {limit}")
+def _check_count(flag: str, value: int | None) -> None:
+    """Reject a negative ``--limit`` or ``--random``; 0, like no option,
+    means no cap or exhaustive search."""
+    if value is not None and value < 0:
+        raise OrdalgError(f"--{flag} must be at least 0, got {value}")
 
 
 def _cmd_assign(args) -> int:
-    _check_limit(args.limit)
+    _check_count("limit", args.limit)
     doc = _load(args.file)
     pname, P = doc.the_poset(args.name)
     emitted = []
@@ -346,7 +351,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _check_limit(args.limit)
+    _check_count("limit", args.limit)
+    _check_count("random", args.random)
     try:
         lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n),) * 2
     except ValueError:

@@ -21,6 +21,10 @@ holding its relation, so refinement is one AND, a meet is the congruence
 with the intersected relation, and a join is the element whose up-set is
 the intersection of two up-sets.  Covers come from the up-sets as well, and
 distributivity is decided by the join-prime test on join-irreducibles.
+
+One table, ``_SCHEMES``, maps each term-scheme report key to the symbols the
+scheme needs and its numbered identities; a profile lists its keys, and
+without one every key whose symbols the algebra has is checked.
 """
 
 from __future__ import annotations
@@ -463,74 +467,56 @@ def maltsev_term(sym: str, a, b, c):
     return App(MEET, (i(i(a, b), c), i(i(c, b), a)))
 
 
-def _numbered(formulas) -> tuple[tuple[str, Forall], ...]:
-    return tuple(
-        (f"{i}: {render_formula(f)}", f) for i, f in enumerate(formulas, start=1)
-    )
-
-
-def _majority_scheme() -> tuple[tuple[str, Forall], ...]:
-    x, y = Var("x"), Var("y")
-    m = majority_term
-    return _numbered(
-        (
-            Forall(("x", "y"), Eq(m(x, x, y), x)),
-            Forall(("x", "y"), Eq(m(x, y, x), x)),
-            Forall(("x", "y"), Eq(m(y, x, x), x)),
-        )
-    )
-
-
-def _maltsev_scheme(sym: str) -> tuple[tuple[str, Forall], ...]:
-    x, y = Var("x"), Var("y")
-    p = lambda a, b, c: maltsev_term(sym, a, b, c)
-    return _numbered(
-        (
-            Forall(("x", "y"), Eq(p(x, x, y), y)),
-            Forall(("x", "y"), Eq(p(y, x, x), y)),
-        )
-    )
-
-
-def _weak_regularity_scheme(sym: str) -> tuple[tuple[str, Forall], ...]:
-    """Two-step chain witnessing weak regularity with respect to the constant 1."""
+def _scheme_table() -> dict[str, tuple]:
+    """Report key -> (the symbols the scheme needs, its numbered identities),
+    in the order ``con --terms`` prints the schemes."""
     x, y = Var("x"), Var("y")
     one = Const(ONE)
-    i = lambda a, b: App(sym, (a, b))
-    t1 = lambda a, b: i(a, b)
-    t2 = lambda a, b: i(b, a)
-    s1 = lambda a, b, c, d: App(MEET, (i(a, d), c))
-    s2 = lambda a, b, c, d: App(MEET, (i(b, c), d))
-    formulas = (
-        Forall(("x",), Eq(t1(x, x), one)),
-        Forall(("x",), Eq(t2(x, x), one)),
-        Forall(("x", "y"), Eq(s1(t1(x, y), one, x, y), x)),
-        Forall(("x", "y"), Eq(s1(one, t1(x, y), x, y), s2(t2(x, y), one, x, y))),
-        Forall(("x", "y"), Eq(s2(one, t2(x, y), x, y), y)),
-    )
-    return _numbered(formulas)
-
-
-_PROFILE_SCHEMES: dict[str, tuple[tuple[str, str | None], ...]] = {
-    "pc": (),
-    "stone": (("majority", None),),
-    "spc": (("majority", None),),
-    "spc1": (("majority", None),),
-    "sspc": (("majority", None), ("maltsev", CIRC), ("weak_regularity", CIRC)),
-    "rpc": (("maltsev", STAR), ("weak_regularity", STAR)),
-}
-
-
-def _schemes_for_signature(A: Algebra) -> tuple[tuple[str, str | None], ...]:
-    out: list[tuple[str, str | None]] = []
-    if A.signature.has(JOIN, 2) and A.signature.has(MEET, 2):
-        out.append(("majority", None))
+    m = majority_term
+    table = {
+        "majority": (
+            ((JOIN, 2), (MEET, 2)),
+            [Forall(("x", "y"), Eq(m(*args), x)) for args in ((x, x, y), (x, y, x), (y, x, x))],
+        )
+    }
     for sym in (STAR, CIRC):
-        if A.signature.has(sym, 2) and A.signature.has(MEET, 2):
-            out.append(("maltsev", sym))
-            if A.signature.has(ONE, 0):
-                out.append(("weak_regularity", sym))
-    return tuple(out)
+        p = lambda a, b, c: maltsev_term(sym, a, b, c)
+        table[f"maltsev({sym})"] = (
+            ((sym, 2), (MEET, 2)),
+            [Forall(("x", "y"), Eq(p(*args), y)) for args in ((x, x, y), (y, x, x))],
+        )
+        # a two-step chain witnessing weak regularity with respect to the constant 1
+        i = lambda a, b: App(sym, (a, b))
+        t1 = lambda a, b: i(a, b)
+        t2 = lambda a, b: i(b, a)
+        s1 = lambda a, b, c, d: App(MEET, (i(a, d), c))
+        s2 = lambda a, b, c, d: App(MEET, (i(b, c), d))
+        table[f"weak_regularity({sym})"] = (
+            ((sym, 2), (MEET, 2), (ONE, 0)),
+            (
+                Forall(("x",), Eq(t1(x, x), one)),
+                Forall(("x",), Eq(t2(x, x), one)),
+                Forall(("x", "y"), Eq(s1(t1(x, y), one, x, y), x)),
+                Forall(("x", "y"), Eq(s1(one, t1(x, y), x, y), s2(t2(x, y), one, x, y))),
+                Forall(("x", "y"), Eq(s2(one, t2(x, y), x, y), y)),
+            ),
+        )
+    return {
+        key: (needs, tuple((f"{k}: {render_formula(f)}", f) for k, f in enumerate(fs, 1)))
+        for key, (needs, fs) in table.items()
+    }
+
+
+_SCHEMES = _scheme_table()
+
+_PROFILE_SCHEMES: dict[str, tuple[str, ...]] = {
+    "pc": (),
+    "stone": ("majority",),
+    "spc": ("majority",),
+    "spc1": ("majority",),
+    "sspc": ("majority", "maltsev(∘)", "weak_regularity(∘)"),
+    "rpc": ("maltsev(*)", "weak_regularity(*)"),
+}
 
 
 def verify_term_conditions(
@@ -539,29 +525,18 @@ def verify_term_conditions(
     """Check the majority / Maltsev / weak-regularity schemes exhaustively.
 
     With a profile the scheme set is the one its theory supports; without
-    one, every scheme expressible in the algebra's signature is tried.
+    one, every scheme whose symbols the algebra's signature has is tried.
     """
     if profile is None:
-        selected = _schemes_for_signature(A)
+        keys = [k for k, (needs, _) in _SCHEMES.items() if all(A.signature.has(*s) for s in needs)]
     else:
         if profile not in _PROFILE_SCHEMES:
             raise ValueError(f"unknown profile {profile!r}")
-        selected = _PROFILE_SCHEMES[profile]
+        keys = _PROFILE_SCHEMES[profile]
     out: dict[str, dict[str, Report]] = {}
-    for scheme, sym in selected:
-        if scheme == "majority":
-            needed = [(JOIN, 2), (MEET, 2)]
-            identities = _majority_scheme()
-            key = "majority"
-        elif scheme == "maltsev":
-            needed = [(sym, 2), (MEET, 2)]
-            identities = _maltsev_scheme(sym)  # type: ignore[arg-type]
-            key = f"maltsev({sym})"
-        else:
-            needed = [(sym, 2), (MEET, 2), (ONE, 0)]
-            identities = _weak_regularity_scheme(sym)  # type: ignore[arg-type]
-            key = f"weak_regularity({sym})"
-        for s, a in needed:
+    for key in keys:
+        needs, identities = _SCHEMES[key]
+        for s, a in needs:
             if not A.signature.has(s, a):
                 raise MissingSymbol(f"scheme {key} needs {s!r}/{a}")
         out[key] = {name: check_formula(A, f) for name, f in identities}

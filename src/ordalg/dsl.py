@@ -119,7 +119,7 @@ class _Parser:
                 self.fail(self.poset_line, f"poset {self.poset_name!r} has no elements line")
             try:
                 P = build_poset(self.elements, self.order)
-            except OrdalgError as e:
+            except (OrdalgError, ValueError) as e:
                 raise ParseError(self.poset_line, str(e)) from e
             self.doc.posets[self.poset_name] = P
             self.poset_name = None

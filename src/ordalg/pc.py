@@ -1,10 +1,11 @@
 """Pseudocomplementation structures computed directly from the order.
 
 Each operation is defined through a "greatest element of a candidate set"
-construction.  :func:`greatest_in` deliberately distinguishes "the set has a
-maximum" from "the set only has maximal elements" — exactly the point where
-posets differ from lattices — and classification reports the antichain of
-maximal candidates as the witness when the maximum is missing.
+construction: a cell's candidates form a bitset and its entry is
+:meth:`Poset.maximum_of` of it.  A set that only has maximal elements —
+exactly the point where posets differ from lattices — has no entry, and
+classification reports the antichain :meth:`Poset.maximal_of` as the
+witness.
 
 Each of the three derived operations (``*``, the relative ``*`` and ``∘``)
 is computed by one row-major scan over its cells, :func:`_scan`.  The scan
@@ -28,22 +29,19 @@ from .errors import NoBottom
 from .poset import Poset, bits, extremes, is_distributive
 from .terms import Report
 
-KINDS = (
-    "pseudocomplemented",
-    "stone",
-    "relatively_pc",
-    "sectionally_pc",
-    "sectionally_pc_with_1",
-    "strongly_sectionally_pc",
-)
-
-_ALIASES = {
-    "pc": "pseudocomplemented",
-    "rpc": "relatively_pc",
-    "spc": "sectionally_pc",
-    "spc1": "sectionally_pc_with_1",
-    "sspc": "strongly_sectionally_pc",
+# each class: its short name and the operation its table is built on
+_CLASSES = {
+    "pseudocomplemented": ("pc", "pc"),
+    "stone": ("stone", "pc"),
+    "relatively_pc": ("rpc", "rpc"),
+    "sectionally_pc": ("spc", "spc"),
+    "sectionally_pc_with_1": ("spc1", "spc"),
+    "strongly_sectionally_pc": ("sspc", "spc"),
 }
+
+KINDS = tuple(_CLASSES)
+
+_ALIASES = {alias: kind for kind, (alias, _) in _CLASSES.items() if alias != kind}
 
 
 def canonical_kind(kind: str) -> str:
@@ -51,14 +49,6 @@ def canonical_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ValueError(f"unknown classification kind {kind!r}")
     return kind
-
-
-@dataclass(frozen=True)
-class Greatest:
-    """Maximum of a candidate set when it exists, plus its maximal antichain."""
-
-    value: int | None
-    maximal: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,48 +61,36 @@ class PcClassification:
     note: str = ""
 
 
-def greatest_in(P: Poset, candidates: int) -> Greatest:
-    """Greatest member of a bitset of candidates.
-
-    The unique maximal element is returned only when it dominates every
-    candidate (always true in a finite poset, but checked anyway so a bug
-    cannot silently promote a mere maximal element).
-    """
-    if candidates == 0:
-        return Greatest(None, ())
-    maximal = P.maximal_of(candidates)
-    if len(maximal) == 1 and candidates & ~P.down[maximal[0]] == 0:
-        return Greatest(maximal[0], maximal)
-    return Greatest(None, maximal)
-
-
 # -- the three derived operations ---------------------------------------------
 
 
-def _pc_detail(P: Poset, x: int, bottom: int) -> Greatest:
+def _pc_candidates(P: Poset, x: int, bottom: int) -> int:
+    """The y with L(x,y) = {0}."""
     zero = 1 << bottom
     cand = 0
     for y in range(P.n):
         if P.down[x] & P.down[y] == zero:
             cand |= 1 << y
-    return greatest_in(P, cand)
+    return cand
 
 
-def _rpc_detail(P: Poset, x: int, y: int) -> Greatest:
+def _rpc_candidates(P: Poset, x: int, y: int) -> int:
+    """The z with L(x,z) ⊆ L(y)."""
     cand = 0
     for z in range(P.n):
         if P.down[x] & P.down[z] & ~P.down[y] == 0:
             cand |= 1 << z
-    return greatest_in(P, cand)
+    return cand
 
 
-def _spc_detail(P: Poset, x: int, y: int) -> Greatest:
+def _spc_candidates(P: Poset, x: int, y: int) -> int:
+    """The z with L(U(x,y),z) = L(y)."""
     lu = P.lower_mask(P.up[x] & P.up[y])
     cand = 0
     for z in range(P.n):
         if lu & P.down[z] == P.down[y]:
             cand |= 1 << z
-    return greatest_in(P, cand)
+    return cand
 
 
 @dataclass(frozen=True)
@@ -141,23 +119,25 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
                 return _Scan((0,) * n)
             return _Scan(None, {"reason": "no bottom element"})
         cells = [(x,) for x in range(n)]
-        detail = lambda P, x: _pc_detail(P, x, bottom)
+        candidates = lambda P, x: _pc_candidates(P, x, bottom)
     else:
         cells = product(range(n), repeat=2)
-        detail = _rpc_detail if op == "rpc" else _spc_detail
+        candidates = _rpc_candidates if op == "rpc" else _spc_candidates
     entries = []
     fallback = []
     for cell in cells:
-        g = detail(P, *cell)
-        if g.value is not None:
-            entries.append(g.value)
+        cand = candidates(P, *cell)
+        z = P.maximum_of(cand)
+        if z is not None:
+            entries.append(z)
         elif op == "spc" and cell[0] == cell[1]:
             entries.append(cell[0])
             fallback.append(cell[0])
         elif best_effort:
-            entries.append(g.maximal[0] if g.maximal else cell[-1])
+            maximal = P.maximal_of(cand)
+            entries.append(maximal[0] if maximal else cell[-1])
         else:
-            return _Scan(None, dict(zip("xy", cell), maximal=g.maximal))
+            return _Scan(None, dict(zip("xy", cell), maximal=P.maximal_of(cand)))
     if op == "pc":
         return _Scan(tuple(entries))
     rows = tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n))
@@ -165,34 +145,22 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
 
 
 def pseudocomplement(P: Poset, x: int) -> int | None:
-    """Greatest y with L(x,y) = {0}; absent when only maximal candidates exist."""
+    """The greatest y with L(x,y) = {0}; absent when only maximal candidates exist."""
     bottom, _ = extremes(P)
     if bottom is None:
         raise NoBottom("pseudocomplements need a bottom element")
-    return _pc_detail(P, x, bottom).value
+    return P.maximum_of(_pc_candidates(P, x, bottom))
 
 
 def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """Greatest z with L(x,z) ⊆ L(y)."""
-    return _rpc_detail(P, x, y).value
+    """The greatest z with L(x,z) ⊆ L(y)."""
+    return P.maximum_of(_rpc_candidates(P, x, y))
 
 
 def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """Greatest z with L(U(x,y),z) = L(y); x itself on an absent diagonal."""
-    g = _spc_detail(P, x, y)
-    if g.value is None and x == y:
-        return x
-    return g.value
-
-
-_OPERATION = {
-    "pseudocomplemented": "pc",
-    "stone": "pc",
-    "relatively_pc": "rpc",
-    "sectionally_pc": "spc",
-    "sectionally_pc_with_1": "spc",
-    "strongly_sectionally_pc": "spc",
-}
+    """The greatest z with L(U(x,y),z) = L(y); x itself on an absent diagonal."""
+    z = P.maximum_of(_spc_candidates(P, x, y))
+    return x if z is None and x == y else z
 
 
 def best_effort_table(P: Poset, kind: str) -> tuple:
@@ -202,7 +170,7 @@ def best_effort_table(P: Poset, kind: str) -> tuple:
     so the table is always total; audits use it to exercise the failing
     direction of a characterization.
     """
-    return _scan(P, _OPERATION[canonical_kind(kind)], best_effort=True).table
+    return _scan(P, _CLASSES[canonical_kind(kind)][1], best_effort=True).table
 
 
 # -- classification -------------------------------------------------------------
@@ -216,7 +184,7 @@ def classify(P: Poset, kind: str) -> PcClassification:
     (or ``applicable=False`` where the class's own statement needs a top).
     """
     kind = canonical_kind(kind)
-    scan = _scan(P, _OPERATION[kind])
+    scan = _scan(P, _CLASSES[kind][1])
     table = scan.table
     if table is None:
         return PcClassification(kind, False, witness=scan.witness)

@@ -14,6 +14,9 @@ included, runs as a compiled loop over consecutive slots of one list.
 :func:`evaluate_at` is a plain recursive interpreter over name-keyed
 environments that shares no code with the compiler; it is the independent
 oracle that re-validates reported witnesses.
+
+No domain formula set lives here: the conditions, derived identities and
+axioms are in :mod:`assign`, the term schemes in :mod:`congruence`.
 """
 
 from __future__ import annotations
@@ -296,31 +299,3 @@ def check_formula(A: "Algebra", f: Formula) -> Report:
         index = index * A.n + v
     return Report(False, dict(zip(f.vars, witness)), index + 1)
 
-
-# -- directoid and λ-lattice axioms -------------------------------------------
-
-
-def _axiom_set(sym_meet: str, sym_join: str | None) -> tuple[tuple[str, Formula], ...]:
-    x, y, z = Var("x"), Var("y"), Var("z")
-
-    def mk(sym):
-        return lambda a, b: App(sym, (a, b))
-
-    m = mk(sym_meet)
-    axioms = [
-        Forall(("x",), Eq(m(x, x), x)),
-        Forall(("x", "y"), Eq(m(x, y), m(y, x))),
-        Forall(("x", "y", "z"), Eq(m(x, m(m(x, y), z)), m(m(x, y), z))),
-    ]
-    if sym_join is None:
-        return tuple((render_formula(a), a) for a in axioms)
-    j = mk(sym_join)
-    axioms = [
-        Forall(("x", "y"), Eq(j(x, y), j(y, x))),
-        Forall(("x", "y"), Eq(m(x, y), m(y, x))),
-        Forall(("x", "y", "z"), Eq(j(x, j(j(x, y), z)), j(j(x, y), z))),
-        Forall(("x", "y", "z"), Eq(m(x, m(m(x, y), z)), m(m(x, y), z))),
-        Forall(("x", "y"), Eq(m(j(x, y), x), x)),
-        Forall(("x", "y"), Eq(j(m(x, y), x), x)),
-    ]
-    return tuple((render_formula(a), a) for a in axioms)

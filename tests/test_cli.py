@@ -67,6 +67,40 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_MALFORMED = {
+    "oversized": "poset p\n  elements: " + " ".join(f"e{i}" for i in range(65)) + "\n",
+    "no_labels": "poset p\n  elements:\n",
+    "not_utf8": "poset p\n  elements: a \xff b\n".encode("latin-1"),
+    "cycle": "poset p\n  elements: a b\n  order: a<b b<a\n",
+    "duplicate_label": "poset p\n  elements: a a\n",
+    "unknown_poset": "poset p\n  elements: a\nalgebra A on q\n  constant 0: a\n",
+}
+
+_FILE_COMMANDS = {
+    "check": ["check", "{f}", "--class=pc"],
+    "assign": ["assign", "{f}", "--profile=pc"],
+    "audit": ["audit", "{f}"],
+    "con": ["con", "{f}", "--props", "--terms"],
+    "decompose": ["decompose", "{f}"],
+    "product": ["product", "{f}", "{f}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FILE_COMMANDS))
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_never_crashes(tmp_path, capsys, case, command):
+    f = tmp_path / "bad.ord"
+    content = _MALFORMED[case]
+    if isinstance(content, str):
+        f.write_text(content, encoding="utf-8")
+    else:
+        f.write_bytes(content)
+    code = run_cli([arg.format(f=f) for arg in _FILE_COMMANDS[command]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_usage_error():
     assert run_cli(["check"]) == 2
     assert run_cli(["no-such-command"]) == 2
@@ -212,6 +246,13 @@ def test_search_rejects_negative_limit(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--limit must be at least 0, got -1" in captured.err
+
+
+def test_search_rejects_negative_random(capsys):
+    code = run_cli(["search", "--n=1..3", "--where", "pc", "--random", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--random must be at least 0, got -5" in captured.err
 
 
 def test_choice_override_same_everywhere(fig1, fig1_file, capsys):

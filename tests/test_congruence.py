@@ -177,6 +177,23 @@ def test_term_schemes_signature_inference(fig1_rpc_alg):
     assert set(schemes) == {"maltsev(*)", "weak_regularity(*)"}
 
 
+@pytest.mark.parametrize(
+    "profile, fixture, keys",
+    [
+        ("pc", "fig1", ()),
+        ("stone", "fig2", ("majority",)),
+        ("rpc", "fig1", ("maltsev(*)", "weak_regularity(*)")),
+        ("spc", "fig5", ("majority", "maltsev(∘)")),
+        ("spc1", "fig5", ("majority", "maltsev(∘)", "weak_regularity(∘)")),
+        ("sspc", "fig5", ("majority", "maltsev(∘)", "weak_regularity(∘)")),
+    ],
+)
+def test_term_schemes_selected_by_signature_in_order(figs, profile, fixture, keys):
+    # the order con --terms prints
+    A = assign_algebra(figs.posets[fixture], profile)
+    assert tuple(verify_term_conditions(A)) == keys
+
+
 def test_term_schemes_missing_symbol():
     A = Algebra(["a"], [("f", 1, [0])])
     with pytest.raises(MissingSymbol):

@@ -15,7 +15,7 @@ from ordalg import (
 )
 from ordalg import pc
 from ordalg.errors import NoBottom
-from ordalg.pc import _spc_detail, best_effort_table, greatest_in
+from ordalg.pc import _spc_candidates, best_effort_table
 
 
 # -- pseudocomplements -----------------------------------------------------------
@@ -145,7 +145,7 @@ def test_spc_tables_match_fixtures(figs, fig4, fig5):
     assert classify(fig5, "spc").table == figs.algebras["fig5_spc"].table("∘")
     assert classify(fig4, "spc").table == figs.algebras["fig4_spc"].table("∘")
     # no fallback fires on fig5 (it has a top)
-    assert all(_spc_detail(fig5, x, x).value is not None for x in range(fig5.n))
+    assert all(fig5.maximum_of(_spc_candidates(fig5, x, x)) is not None for x in range(fig5.n))
 
 
 def test_spc_fig4_second_projection(fig4):
@@ -160,8 +160,8 @@ def test_spc_fig4_diagonal_fallback_is_flagged(fig4):
     assert "diagonal fallback" in cls.note
     # without the fallback the two non-maximal diagonal entries are absent
     a, b = idx(fig4, "a", "b")
-    assert _spc_detail(fig4, a, a).value is None
-    assert _spc_detail(fig4, b, b).value is None
+    assert fig4.maximum_of(_spc_candidates(fig4, a, a)) is None
+    assert fig4.maximum_of(_spc_candidates(fig4, b, b)) is None
     assert sectional_pseudocomplement(fig4, a, a) == a
 
 
@@ -260,7 +260,7 @@ def test_classification_tables_reverify_small():
 
 def test_classification_is_one_pass(fig1, fig5, monkeypatch):
     calls = []
-    for name in ("_rpc_detail", "_spc_detail"):
+    for name in ("_rpc_candidates", "_spc_candidates"):
         detail = getattr(pc, name)
         monkeypatch.setattr(pc, name, lambda P, x, y, f=detail: calls.append(1) or f(P, x, y))
     assert classify(fig1, "rpc").holds and len(calls) == fig1.n**2
@@ -268,11 +268,11 @@ def test_classification_is_one_pass(fig1, fig5, monkeypatch):
     assert classify(fig5, "sspc").holds and len(calls) == fig5.n**2
 
 
-def test_greatest_in_distinguishes_maximal(fig4):
+def test_maximum_of_distinguishes_maximal(fig4):
     # {c, d} has two maximal elements and no maximum
     mask = (1 << fig4.index("c")) | (1 << fig4.index("d"))
-    g = greatest_in(fig4, mask)
-    assert g.value is None and set(g.maximal) == {fig4.index("c"), fig4.index("d")}
+    assert fig4.maximum_of(mask) is None
+    assert set(fig4.maximal_of(mask)) == {fig4.index("c"), fig4.index("d")}
 
 
 # -- the distributive equality characterization ---------------------------------------

@@ -9,6 +9,7 @@ from helpers import meet_directoid, posets
 from ordalg import Algebra, PROFILES, assign_algebra, fixtures, pc
 from ordalg.algebra import JOIN, MEET
 from ordalg.assign import (
+    _axiom_set,
     _build,
     _choice_kind,
     _constant_values,
@@ -16,12 +17,7 @@ from ordalg.assign import (
     derived_identities_for,
     enumerate_choices,
 )
-from ordalg.congruence import (
-    _majority_scheme,
-    _maltsev_scheme,
-    _schemes_for_signature,
-    _weak_regularity_scheme,
-)
+from ordalg.congruence import _SCHEMES
 from ordalg.enumeration import all_posets
 from ordalg.errors import (
     ArityMismatch,
@@ -39,7 +35,6 @@ from ordalg.terms import (
     Implies,
     Report,
     Var,
-    _axiom_set,
     _compile_node,
     check_formula,
     eval_term,
@@ -224,21 +219,15 @@ def _compiled(A, f):
     return rep.holds, rep.witness, rep.checked_count
 
 
-_SCHEMES = {
-    "majority": lambda sym: _majority_scheme(),
-    "maltsev": _maltsev_scheme,
-    "weak_regularity": _weak_regularity_scheme,
-}
-
-
 def _formulas(profile, A):
     """The profile's conditions and derived identities, every congruence
     scheme the signature supports, and the directoid or λ-lattice axioms."""
     out = [f for _, f in conditions_for(profile)]
     if profile in ("rpc", "spc1", "sspc"):
         out += [f for _, f in derived_identities_for(profile)]
-    for scheme, sym in _schemes_for_signature(A):
-        out += [f for _, f in _SCHEMES[scheme](sym)]
+    for needs, identities in _SCHEMES.values():
+        if all(A.signature.has(s, a) for s, a in needs):
+            out += [f for _, f in identities]
     out += [f for _, f in _axiom_set(MEET, JOIN if A.signature.has(JOIN, 2) else None)]
     return out
 
