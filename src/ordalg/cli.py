@@ -2,6 +2,11 @@
 
 Exit codes: 0 verdict holds (or nothing contradictory found), 1 verdict fails
 (witness printed), 2 usage or input errors.
+
+Every call is a fresh process, so start-up is part of every command's time.
+A command therefore loads only the layers it calls: each ``_cmd_*`` imports
+them itself, and building the parser loads none of them, only the base
+modules ``errors``, ``poset`` and ``algebra``.
 """
 
 from __future__ import annotations
@@ -10,29 +15,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import pc
-from .algebra import Algebra, induced_order
-from .assign import (
-    AUDIT_BUDGET,
-    PROFILES,
-    assign_algebra,
-    enumerate_assignments,
-    theorem_equivalence_audit,
-    verify_assigned_conditions,
-)
-from .congruence import congruence_lattice, congruence_properties, verify_term_conditions
-from .decompose import ISO_GUARD, decompose, direct_product
-from .dsl import Document, parse, serialize_algebra, serialize_poset
+from .algebra import PROFILES, Algebra, induced_order
 from .errors import MissingSymbol, NotAPartialOrder, OrdalgError
-from .fixtures import FIXTURES_TEXT, fixtures
 from .poset import build_poset, is_distributive
-from .search import SearchSpec, parse_predicate, search
+
+if TYPE_CHECKING:
+    from .dsl import Document
 
 SCHEMA_VERSION = 1
 
 
 def _load(path: str) -> Document:
+    from .dsl import parse
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -79,6 +76,8 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _cmd_check(args) -> int:
+    from . import pc
+
     doc = _load(args.file)
     names = [args.name] if args.name else list(doc.posets)
     if not names:
@@ -157,6 +156,9 @@ def _check_count(flag: str, value: int | None) -> None:
 
 
 def _cmd_assign(args) -> int:
+    from .assign import assign_algebra, enumerate_assignments, verify_assigned_conditions
+    from .dsl import serialize_algebra
+
     _check_count("limit", args.limit)
     doc = _load(args.file)
     pname, P = doc.the_poset(args.name)
@@ -201,6 +203,9 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .assign import AUDIT_BUDGET, theorem_equivalence_audit
+
+    budget = AUDIT_BUDGET if args.budget is None else args.budget
     doc = _load(args.file)
     profiles = [args.profile] if args.profile else list(PROFILES)
     reports = []
@@ -208,7 +213,7 @@ def _cmd_audit(args) -> int:
     ok = True
     for pname, P in doc.posets.items():
         for prof in profiles:
-            rep = theorem_equivalence_audit(P, prof, budget=args.budget)
+            rep = theorem_equivalence_audit(P, prof, budget=budget)
             reports.append(
                 {
                     "poset": pname,
@@ -235,6 +240,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_con(args) -> int:
+    from .congruence import congruence_lattice, congruence_properties, verify_term_conditions
+
+    if args.unit is not None and not args.props:
+        raise OrdalgError("--unit applies only with --props")
     doc = _load(args.file)
     aname, A = doc.the_algebra(args.name)
     lat = congruence_lattice(A)
@@ -291,6 +300,8 @@ def _with_order(name: str, A: Algebra) -> list[str]:
     """DSL text for ``A`` and, before it, the poset ``<name>_order`` it refers
     to: the order ``A``'s ⊓ induces, or an antichain when ``A`` has no ⊓ or
     its ⊓ induces no partial order."""
+    from .dsl import serialize_algebra, serialize_poset
+
     try:
         P = induced_order(A)
     except (MissingSymbol, NotAPartialOrder):
@@ -299,9 +310,11 @@ def _with_order(name: str, A: Algebra) -> list[str]:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import ISO_GUARD, decompose
+
     doc = _load(args.file)
     aname, A = doc.the_algebra(args.name)
-    result = decompose(A, guard=args.guard)
+    result = decompose(A, guard=ISO_GUARD if args.guard is None else args.guard)
     if result.indecomposable:
         _emit(
             args,
@@ -333,6 +346,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from .decompose import direct_product
+
     doc1 = _load(args.file1)
     doc2 = _load(args.file2)
     n1, A1 = doc1.the_algebra(args.name1)
@@ -351,8 +366,13 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .dsl import serialize_poset
+    from .search import SearchSpec, parse_predicate, search
+
     _check_count("limit", args.limit)
     _check_count("random", args.random)
+    if args.seed is not None and not args.random:
+        raise OrdalgError("--seed applies only with --random")
     try:
         lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n),) * 2
     except ValueError:
@@ -360,7 +380,7 @@ def _cmd_search(args) -> int:
         return 2
     pred = parse_predicate(args.where)
     mode = "random" if args.random else "exhaustive"
-    spec = SearchSpec(lo, hi, pred, mode=mode, seed=args.seed, count=args.random or 1000)
+    spec = SearchSpec(lo, hi, pred, mode=mode, seed=args.seed or 0, count=args.random or 1000)
     hits = []
     lines = []
     for i, P in enumerate(search(spec)):
@@ -379,6 +399,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import FIXTURES_TEXT, fixtures
+
     if args.json:
         doc = fixtures()
         payload = {
@@ -432,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("audit", help="poset-vs-algebra characterization audit")
     sp.add_argument("file")
     sp.add_argument("--profile", choices=list(PROFILES))
-    sp.add_argument("--budget", type=int, default=AUDIT_BUDGET)
+    sp.add_argument("--budget", type=int)
     common(sp)
     sp.set_defaults(func=_cmd_audit)
 
@@ -448,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="direct decomposition of an algebra")
     sp.add_argument("file")
     sp.add_argument("--name")
-    sp.add_argument("--guard", type=int, default=ISO_GUARD)
+    sp.add_argument("--guard", type=int)
     common(sp)
     sp.set_defaults(func=_cmd_decompose)
 
@@ -464,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True, metavar="A..B")
     sp.add_argument("--where", required=True)
     sp.add_argument("--random", type=int, default=0, metavar="COUNT")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--limit", type=int, default=0, help="cap the hits (0: no cap)")
     common(sp)
     sp.set_defaults(func=_cmd_search)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import JOIN, MEET, Algebra
-from .assign import _override_choice, table_from_choice
+from .algebra import JOIN, MEET, Algebra, _override_choice, table_from_choice
 from .errors import InvalidChoice, OrdalgError, ParseError
 from .poset import Poset, build_poset
 

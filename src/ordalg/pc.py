@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .errors import NoBottom
 from .poset import Poset, bits, extremes, is_distributive
-from .terms import Report
+
+if TYPE_CHECKING:
+    from .terms import Report
 
 # each class: its short name and the operation its table is built on
 _CLASSES = {
@@ -231,6 +234,8 @@ def check_distributive_pc_equalities(P: Poset, star) -> dict[str, Report]:
     three are re-checked and reported as side verdicts next to the two
     equalities.
     """
+    from .terms import Report  # only this check reports; ``check`` and ``search`` skip terms
+
     bottom, top = extremes(P)
     if bottom is None or top is None:
         raise NoBottom("the equality characterization needs a bounded poset")

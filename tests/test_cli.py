@@ -197,6 +197,13 @@ def test_con_props_terms(corpus, capsys):
     assert "maltsev(*): HOLDS" in out
 
 
+def test_con_rejects_unit_without_props(corpus, capsys):
+    code = run_cli(["con", corpus, "--name", "fig1_rpc", "--unit", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: --unit applies only with --props" in captured.err
+
+
 def test_decompose_cli(corpus, capsys):
     code = run_cli(["decompose", corpus, "--name", "fig4_spc"])
     out = capsys.readouterr().out
@@ -253,6 +260,28 @@ def test_search_rejects_negative_random(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--random must be at least 0, got -5" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "5"],
+    ["--seed", "0"],
+    ["--random", "0", "--seed", "3"],
+], ids=["exhaustive", "explicit-0", "random-0"])
+def test_search_rejects_seed_without_random(capsys, argv):
+    code = run_cli(["search", "--n=1..3", "--where", "pc", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: --seed applies only with --random" in captured.err
+
+
+def test_search_random_seed_defaults_to_0(capsys):
+    argv = ["search", "--n=4..6", "--where", "pc", "--random", "20", "--json"]
+    assert run_cli(argv) == 0
+    default = capsys.readouterr().out
+    assert run_cli([*argv, "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert run_cli([*argv, "--seed", "1"]) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_choice_override_same_everywhere(fig1, fig1_file, capsys):
