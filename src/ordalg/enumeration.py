@@ -15,7 +15,13 @@ refined colour, the canonical deletions are those w whose Q - w has the least
 key.  Q is kept from (P, v) only when v is one of them, so every Q comes from
 exactly one listed parent, and only that parent's children need deduplicating.
 Most candidates fail on down-set sizes alone, and a twin of v needs no key,
-since deleting it leaves a copy of P.
+since deleting it leaves a copy of P.  A candidate is colour-refined at most
+once: the ranks of the tie test are the ones its key starts from.
+
+Enumerated and sampled posets are built from rows that are partial orders by
+construction (a new maximal element over a down-set, the deletion of a
+maximal element, a transitive closure), so they skip the validating
+constructor; the tests check every such poset against it.
 """
 
 from __future__ import annotations
@@ -57,13 +63,17 @@ def _compress(values: list) -> tuple[list[int], int]:
     return [order[v] for v in values], len(order)
 
 
+@lru_cache(maxsize=1024)
+def _members(mask: int) -> tuple[int, ...]:
+    """``bits(mask)`` as a tuple; the rows of small posets repeat across
+    the many candidates enumeration refines."""
+    return tuple(bits(mask))
+
+
 def _refined_ranks(P: Poset) -> list[int]:
     n = P.n
-    below = [list(bits(P.down[x] ^ (1 << x))) for x in range(n)]
-    above: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in below[x]:
-            above[y].append(x)
+    below = [_members(P.down[x] ^ (1 << x)) for x in range(n)]
+    above = [_members(P.up[x] ^ (1 << x)) for x in range(n)]
 
     def step(ranks: list[int]) -> list[tuple]:
         at = ranks.__getitem__
@@ -75,10 +85,14 @@ def _refined_ranks(P: Poset) -> list[int]:
     return refine_colours([(P.down[x].bit_count(), P.up[x].bit_count()) for x in range(n)], step)
 
 
-def canonical_key(P: Poset) -> tuple:
-    """Relabelling-invariant key; equal keys iff isomorphic posets."""
+def canonical_key(P: Poset, *, ranks: list[int] | None = None) -> tuple:
+    """Relabelling-invariant key; equal keys iff isomorphic posets.
+
+    ``ranks`` are P's refined colours when the caller already has them.
+    """
     n = P.n
-    ranks = _refined_ranks(P)
+    if ranks is None:
+        ranks = _refined_ranks(P)
     classes: dict[int, list[int]] = {}
     for x in range(n):
         classes.setdefault(ranks[x], []).append(x)
@@ -133,16 +147,23 @@ def down_set_masks(P: Poset) -> list[int]:
 
 
 def _with_new_maximal(P: Poset, ideal: int) -> Poset:
-    n = P.n + 1
-    down = P.down + (ideal | (1 << (n - 1)),)
-    return Poset(default_labels(n), down)
+    """P plus a new last element v above the down-set ``ideal``: v joins the
+    up-row of each member of the ideal."""
+    bit = 1 << P.n
+    down = P.down + (ideal | bit,)
+    up = tuple(u | bit if ideal >> x & 1 else u for x, u in enumerate(P.up)) + (bit,)
+    return Poset._trusted(default_labels(P.n + 1), down, up)
 
 
 def _without_maximal(Q: Poset, w: int) -> Poset:
-    """Q - w for a maximal w; no other row holds w, so rows only shift."""
+    """Q - w for a maximal w; no other down-row holds w, so down-rows only
+    shift, and the same shift drops w from the up-rows."""
     low = (1 << w) - 1
-    down = tuple((d & low) | (d >> 1 & ~low) for x, d in enumerate(Q.down) if x != w)
-    return Poset(default_labels(Q.n - 1), down)
+
+    def shift(rows: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple((r & low) | (r >> 1 & ~low) for x, r in enumerate(rows) if x != w)
+
+    return Poset._trusted(default_labels(Q.n - 1), shift(Q.down), shift(Q.up))
 
 
 def _children(P: Poset) -> dict[tuple, Poset]:
@@ -160,6 +181,7 @@ def _children(P: Poset) -> dict[tuple, Poset]:
             continue
         Q = _with_new_maximal(P, ideal)
         ties = [w for w in rivals if size[w] == height]
+        ranks = None
         if ties:
             ranks = _refined_ranks(Q)
             if any(ranks[w] > ranks[v] for w in ties):
@@ -170,7 +192,7 @@ def _children(P: Poset) -> dict[tuple, Poset]:
                 parent_key = parent_key or canonical_key(P)
                 if any(canonical_key(_without_maximal(Q, w)) < parent_key for w in others):
                     continue
-        children.setdefault(canonical_key(Q), Q)
+        children.setdefault(canonical_key(Q, ranks=ranks), Q)
     return children
 
 
@@ -205,4 +227,4 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     for x in range(n):
         for y in bits(up[x]):
             down[y] |= 1 << x
-    return Poset(default_labels(n), down)
+    return Poset._trusted(default_labels(n), tuple(down), tuple(up))

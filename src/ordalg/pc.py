@@ -12,6 +12,8 @@ is computed by one row-major scan over its cells, :func:`_scan`.  The scan
 returns either the whole table or the first absent cell with its maximal
 candidates; :func:`classify` and :func:`best_effort_table` both read it, so
 no cell is computed twice.  A class's table is ``classify(P, kind).table``.
+Every sectional candidate z of (x, y) lies above y, because y is in
+L(U(x,y)), so the sectional scan looks at ↑y only.
 
 Diagonal fallback: on a poset without enough upper structure the sectional
 candidate set {z : z >= x} of a diagonal pair (x, x) can lack a maximum.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NoBottom
 from .poset import Poset, bits, extremes, is_distributive
@@ -96,6 +98,38 @@ def _spc_candidates(P: Poset, x: int, y: int) -> int:
     return cand
 
 
+def _spc_scanner(P: Poset) -> Callable[[int, int], tuple[int, int | None]]:
+    """Each sectional cell's candidates, as :func:`_spc_candidates` gives
+    them, and their maximum, for the cells of one scan.
+
+    z runs over ↑y only, L(U(x,y)) is computed once for each mask ↑x ∩ ↑y
+    the scan meets, and the maximum is the first candidate, in ascending
+    order, above all the others, as :meth:`Poset.maximum_of` finds it.
+    """
+    down, up = P.down, P.up
+    above = [tuple(bits(u)) for u in up]
+    lower: dict[int, int] = {}
+
+    def cell(x: int, y: int) -> tuple[int, int | None]:
+        m = up[x] & up[y]
+        lu = lower.get(m)
+        if lu is None:
+            lu = lower[m] = P.lower_mask(m)
+        dy = down[y]
+        cand = 0
+        found = []
+        for z in above[y]:
+            if lu & down[z] == dy:
+                cand |= 1 << z
+                found.append(z)
+        for z in found:
+            if cand & ~down[z] == 0:
+                return cand, z
+        return cand, None
+
+    return cell
+
+
 @dataclass(frozen=True)
 class _Scan:
     """Outcome of one row-major pass over an operation's cells."""
@@ -126,11 +160,15 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
     else:
         cells = product(range(n), repeat=2)
         candidates = _rpc_candidates if op == "rpc" else _spc_candidates
+    greatest = _spc_scanner(P) if op == "spc" and not best_effort else None
     entries = []
     fallback = []
     for cell in cells:
-        cand = candidates(P, *cell)
-        z = P.maximum_of(cand)
+        if greatest is None:
+            cand = candidates(P, *cell)
+            z = P.maximum_of(cand)
+        else:
+            cand, z = greatest(*cell)
         if z is not None:
             entries.append(z)
         elif op == "spc" and cell[0] == cell[1]:

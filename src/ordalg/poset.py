@@ -115,6 +115,23 @@ class Poset:
         self.up = tuple(up)
         self._index = {l: i for i, l in enumerate(labels)}
 
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], down: tuple[int, ...], up: tuple[int, ...]) -> "Poset":
+        """A poset from rows that are valid by construction, unchecked.
+
+        The caller vouches that ``labels`` are distinct, that ``down`` is a
+        partial order on them and that ``up`` is its transpose; enumeration
+        and random sampling build such rows, and their tests compare the
+        result with the validating constructor.
+        """
+        P = object.__new__(cls)
+        P.n = len(labels)
+        P.labels = labels
+        P.down = down
+        P.up = up
+        P._index = {l: i for i, l in enumerate(labels)}
+        return P
+
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

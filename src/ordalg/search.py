@@ -5,7 +5,8 @@ Predicates are conjunctions of possibly negated classification atoms
 a size range (guarded at n <= 7, where there are 2045 of them); random mode
 samples transitive closures of seeded random DAGs.  Every hit is re-validated
 through a serialize → parse → re-classify round trip before it is yielded, so
-the search fast path cannot emit a false positive.
+the search fast path cannot emit a false positive; sizes therefore stop at
+``MAX_CARRIER``, the largest carrier the DSL parses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import pc
 from .dsl import parse, serialize_poset
 from .enumeration import all_posets, random_poset
 from .errors import OrdalgError
-from .poset import Poset, directedness, extremes, is_distributive, is_lattice
+from .poset import MAX_CARRIER, Poset, directedness, extremes, is_distributive, is_lattice
 
 EXHAUSTIVE_GUARD = 7
 
@@ -97,6 +98,8 @@ class SearchSpec:
             raise OrdalgError(
                 f"exhaustive search guarded at n <= {EXHAUSTIVE_GUARD}"
             )
+        if self.n_max > MAX_CARRIER:  # every hit must parse back from DSL
+            raise OrdalgError(f"search sizes are capped at n <= {MAX_CARRIER}")
 
 
 def _revalidate(P: Poset, pred: Predicate) -> None:

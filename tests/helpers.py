@@ -61,6 +61,57 @@ def raw_greatest(P: Poset, members: set[int]) -> int | None:
     return None
 
 
+def raw_maximal(P: Poset, members) -> list[int]:
+    return sorted(z for z in members if not any(w != z and P.leq(z, w) for w in members))
+
+
+def raw_cells(P: Poset, op: str):
+    """Each cell of the operation ("pc", "rpc" or "spc") in row-major order
+    with its candidate set, from raw cone loops; None for the
+    pseudocomplement of a bottomless P."""
+    n = P.n
+    if op == "pc":
+        bottoms = [w for w in range(n) if raw_upper(P, {w}) == set(range(n))]
+        if not bottoms:
+            return None
+        return [((x,), {y for y in range(n) if raw_lower(P, {x, y}) == set(bottoms)})
+                for x in range(n)]
+    if op == "rpc":
+        inside = lambda x, y, z: raw_lower(P, {x, z}) <= raw_lower(P, {y})
+    else:
+        inside = lambda x, y, z: raw_lower(P, raw_upper(P, {x, y}) | {z}) == raw_lower(P, {y})
+    return [((x, y), {z for z in range(n) if inside(x, y, z)})
+            for x in range(n) for y in range(n)]
+
+
+def raw_scan(P: Poset, op: str):
+    """The operation's cells by sets: (entries, absent, fallback), or None
+    where :func:`raw_cells` is.
+
+    ``entries`` is the best-effort table in row-major order: the greatest
+    candidate, else x on a sectional diagonal, else the first maximal
+    candidate by index (y when there is none).  ``absent`` lists the cells
+    with no greatest candidate and no diagonal fallback, each with its
+    maximal candidates, as a classification witness; ``fallback`` lists the
+    x whose sectional (x, x) fell back to x.
+    """
+    cells = raw_cells(P, op)
+    if cells is None:
+        return None
+    entries, absent, fallback = [], [], []
+    for cell, cand in cells:
+        greatest, maximal = raw_greatest(P, cand), raw_maximal(P, cand)
+        if greatest is not None:
+            entries.append(greatest)
+        elif op == "spc" and cell[0] == cell[1]:
+            entries.append(cell[0])
+            fallback.append(cell[0])
+        else:
+            absent.append(dict(zip("xy", cell), maximal=tuple(maximal)))
+            entries.append(maximal[0] if maximal else cell[-1])
+    return entries, absent, fallback
+
+
 def product_choices(P: Poset, kind: str) -> list | None:
     """Every cone choice in ``itertools.product`` order, by plain loops over
     ``leq``; ``None`` when some cone is empty.  λ choices are (meet, join)

@@ -262,6 +262,15 @@ def test_search_rejects_negative_random(capsys):
     assert "--random must be at least 0, got -5" in captured.err
 
 
+@pytest.mark.parametrize("sizes", ["60..70", "70"])
+def test_search_rejects_sizes_above_carrier_cap(capsys, sizes):
+    # before any sampling, not from the round trip of a hit
+    code = run_cli(["search", "--n", sizes, "--where", "not lattice", "--random", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: search sizes are capped at n <= 64\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--seed", "5"],
     ["--seed", "0"],

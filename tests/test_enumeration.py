@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -29,9 +30,20 @@ def test_count_n7():
     assert len(all_posets(7)) == 2045
 
 
+# sha256 of repr([(P.labels, P.down) for P in all_posets(n)]): the order and
+# the labelling of the listing, not only its keys, stay fixed
+LISTING_SHA256 = {
+    7: "aedc14c8ad2e964d1283ec65df4f67a4a93ed7adbe6c6576af319ce10942fe57",
+    8: "99f455dad255e5e18fb5bd9f7e0a4a1721163a8e1651dad888bad78eff978a53",
+}
+
+
 @pytest.mark.slow
 def test_count_n8():
     assert len(all_posets(8)) == 16999  # OEIS A000112
+    for n, digest in LISTING_SHA256.items():
+        listing = repr([(P.labels, P.down) for P in all_posets(n)])
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
 
 def test_all_posets_key_sequence_matches_oracle():
@@ -143,8 +155,26 @@ def test_distinct_posets_distinct_keys():
     assert canonical_key(chain[0]) != canonical_key(chain[1])
 
 
+def _assert_validated(P: Poset) -> None:
+    """P, built from trusted rows, passes the validating constructor and
+    keeps the up-rows it would compute."""
+    Q = Poset(P.labels, P.down)
+    assert P == Q and P.up == Q.up and P.n == Q.n
+
+
+def test_enumerated_posets_pass_validation():
+    for n in range(1, 8):
+        for P in all_posets(n):
+            _assert_validated(P)
+    for n in range(2, 7):
+        for P in all_posets(n):
+            for w in P.maximal_of(P.full):
+                _assert_validated(_without_maximal(P, w))
+
+
 def test_random_poset_is_poset():
+    # random_poset skips the constructor's checks; they must hold anyway
     rng = random.Random(7)
-    for _ in range(50):
-        P = random_poset(rng, rng.randint(1, 7))
-        assert isinstance(P, Poset)  # constructor validated the axioms
+    for n in range(1, 13):
+        for _ in range(20):
+            _assert_validated(random_poset(rng, n))

@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
-from helpers import idx, labset, posets, raw_greatest, raw_lower, raw_upper
+from helpers import idx, labset, posets, raw_greatest, raw_lower, raw_scan, raw_upper
 from ordalg import (
     all_posets,
     build_poset,
@@ -16,6 +18,7 @@ from ordalg import (
 from ordalg import pc
 from ordalg.errors import NoBottom
 from ordalg.pc import _spc_candidates, best_effort_table
+from ordalg.poset import Poset
 
 
 # -- pseudocomplements -----------------------------------------------------------
@@ -188,53 +191,18 @@ def test_spc_m3_not_sectional():
 # -- table re-verification invariants ------------------------------------------------
 
 
-def _raw_cells(P, op):
-    """Each cell of the operation in row-major order with its candidate set,
-    from raw cone loops; None for the pseudocomplement of a bottomless P."""
-    n = P.n
-    if op == "pc":
-        bottoms = [w for w in range(n) if raw_upper(P, {w}) == set(range(n))]
-        if not bottoms:
-            return None
-        return [((x,), {y for y in range(n) if raw_lower(P, {x, y}) == set(bottoms)})
-                for x in range(n)]
-    if op == "rpc":
-        inside = lambda x, y, z: raw_lower(P, {x, z}) <= raw_lower(P, {y})
-    else:
-        inside = lambda x, y, z: raw_lower(P, raw_upper(P, {x, y}) | {z}) == raw_lower(P, {y})
-    return [((x, y), {z for z in range(n) if inside(x, y, z)})
-            for x in range(n) for y in range(n)]
-
-
-def _raw_maximal(P, cand) -> list[int]:
-    return sorted(z for z in cand if not any(w != z and P.leq(z, w) for w in cand))
-
-
-def _reverify_tables(P):
-    """classify and the best-effort tables against the oracle."""
-    for kind, op in (
-        ("pseudocomplemented", "pc"),
-        ("relatively_pc", "rpc"),
-        ("sectionally_pc", "spc"),
-    ):
+def _reverify_tables(P, ops=("pc", "rpc", "spc")):
+    """classify and the best-effort tables against the set-based oracle."""
+    for op in ops:
+        kind = {"pc": "pseudocomplemented", "rpc": "relatively_pc", "spc": "sectionally_pc"}[op]
         cls = classify(P, kind)
         best = best_effort_table(P, kind)
-        cells = _raw_cells(P, op)
-        if cells is None:
+        scan = raw_scan(P, op)
+        if scan is None:
             assert cls.witness == {"reason": "no bottom element"}
             assert cls.table is None and best == (0,) * P.n
             continue
-        expected, absent, fallback = [], [], []
-        for cell, cand in cells:
-            greatest, maximal = raw_greatest(P, cand), _raw_maximal(P, cand)
-            if greatest is not None:
-                expected.append(greatest)
-            elif op == "spc" and cell[0] == cell[1]:
-                expected.append(cell[0])
-                fallback.append(P.labels[cell[0]])
-            else:
-                absent.append(dict(zip("xy", cell), maximal=tuple(maximal)))
-                expected.append(maximal[0] if maximal else cell[-1])
+        expected, absent, fallback = scan
         flat = best if op == "pc" else [v for row in best for v in row]
         assert list(flat) == expected
         if absent:
@@ -242,7 +210,9 @@ def _reverify_tables(P):
             assert cls.table is None
         else:
             assert cls.holds and cls.table == best
-            note = "diagonal fallback (least candidate) at: " + ", ".join(fallback)
+            note = "diagonal fallback (least candidate) at: " + ", ".join(
+                P.labels[x] for x in fallback
+            )
             assert cls.note == (note if fallback else "")
 
 
@@ -258,14 +228,36 @@ def test_classification_tables_reverify_small():
             _reverify_tables(P)
 
 
+@pytest.mark.slow
+def test_sectional_scan_matches_oracle():
+    # the scan over ↑y with cached L(U(x,y)) against candidate sets by cones
+    for n in range(1, 7):
+        for P in all_posets(n):
+            _reverify_tables(P, ops=("spc",))
+
+
 def test_classification_is_one_pass(fig1, fig5, monkeypatch):
     calls = []
-    for name in ("_rpc_candidates", "_spc_candidates"):
-        detail = getattr(pc, name)
-        monkeypatch.setattr(pc, name, lambda P, x, y, f=detail: calls.append(1) or f(P, x, y))
+    detail = pc._rpc_candidates
+    monkeypatch.setattr(pc, "_rpc_candidates", lambda P, x, y: calls.append(1) or detail(P, x, y))
     assert classify(fig1, "rpc").holds and len(calls) == fig1.n**2
     calls.clear()
-    assert classify(fig5, "sspc").holds and len(calls) == fig5.n**2
+    # the sectional scan: one scanner, each cell once in row-major order, and
+    # one L(U(x,y)) per distinct mask ↑x ∩ ↑y
+    scanner, lower_mask = pc._spc_scanner, Poset.lower_mask
+
+    def counted_scanner(P):
+        calls.append("scanner")
+        cell = scanner(P)
+        return lambda x, y: calls.append((x, y)) or cell(x, y)
+
+    masks = []
+    monkeypatch.setattr(pc, "_spc_scanner", counted_scanner)
+    monkeypatch.setattr(Poset, "lower_mask", lambda P, m: masks.append(m) or lower_mask(P, m))
+    assert classify(fig5, "sspc").holds
+    assert calls == ["scanner", *product(range(fig5.n), repeat=2)]
+    distinct = {fig5.up[x] & fig5.up[y] for x, y in product(range(fig5.n), repeat=2)}
+    assert sorted(masks) == sorted(distinct)
 
 
 def test_maximum_of_distinguishes_maximal(fig4):

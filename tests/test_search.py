@@ -2,6 +2,7 @@ import pytest
 
 from ordalg import SearchSpec, build_poset, canonical_key, parse_predicate, search
 from ordalg.errors import OrdalgError
+from ordalg.poset import MAX_CARRIER
 from ordalg.search import evaluate_predicate
 
 
@@ -40,6 +41,16 @@ def test_search_guard():
         SearchSpec(2, 8, parse_predicate("pc"))
     with pytest.raises(OrdalgError):
         SearchSpec(3, 2, parse_predicate("pc"))
+
+
+def test_search_sizes_capped_at_max_carrier():
+    # a hit must parse back from DSL, which caps carriers at MAX_CARRIER
+    for lo in (60, MAX_CARRIER + 6):
+        with pytest.raises(OrdalgError, match=f"capped at n <= {MAX_CARRIER}"):
+            SearchSpec(lo, MAX_CARRIER + 6, parse_predicate("pc"), mode="random")
+    spec = SearchSpec(MAX_CARRIER, MAX_CARRIER, parse_predicate("not lattice"),
+                      mode="random", seed=1, count=2)
+    assert [P.n for P in search(spec)] == [MAX_CARRIER] * 2
 
 
 def test_search_random_mode_deterministic():
