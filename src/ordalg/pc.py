@@ -98,34 +98,27 @@ def _spc_candidates(P: Poset, x: int, y: int) -> int:
     return cand
 
 
-def _spc_scanner(P: Poset) -> Callable[[int, int], tuple[int, int | None]]:
-    """Each sectional cell's candidates, as :func:`_spc_candidates` gives
-    them, and their maximum, for the cells of one scan.
+def _spc_scanner(P: Poset) -> Callable[[int, int], int]:
+    """:func:`_spc_candidates` for the cells of one scan.
 
-    z runs over ↑y only, L(U(x,y)) is computed once for each mask ↑x ∩ ↑y
-    the scan meets, and the maximum is the first candidate, in ascending
-    order, above all the others, as :meth:`Poset.maximum_of` finds it.
+    z runs over ↑y only, and L(U(x,y)) is computed once for each mask
+    ↑x ∩ ↑y the scan meets.
     """
     down, up = P.down, P.up
     above = [tuple(bits(u)) for u in up]
     lower: dict[int, int] = {}
 
-    def cell(x: int, y: int) -> tuple[int, int | None]:
+    def cell(x: int, y: int) -> int:
         m = up[x] & up[y]
         lu = lower.get(m)
         if lu is None:
             lu = lower[m] = P.lower_mask(m)
         dy = down[y]
         cand = 0
-        found = []
         for z in above[y]:
             if lu & down[z] == dy:
                 cand |= 1 << z
-                found.append(z)
-        for z in found:
-            if cand & ~down[z] == 0:
-                return cand, z
-        return cand, None
+        return cand
 
     return cell
 
@@ -156,19 +149,15 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
                 return _Scan((0,) * n)
             return _Scan(None, {"reason": "no bottom element"})
         cells = [(x,) for x in range(n)]
-        candidates = lambda P, x: _pc_candidates(P, x, bottom)
+        candidates = lambda x: _pc_candidates(P, x, bottom)
     else:
         cells = product(range(n), repeat=2)
-        candidates = _rpc_candidates if op == "rpc" else _spc_candidates
-    greatest = _spc_scanner(P) if op == "spc" and not best_effort else None
+        candidates = _spc_scanner(P) if op == "spc" else lambda x, y: _rpc_candidates(P, x, y)
     entries = []
     fallback = []
     for cell in cells:
-        if greatest is None:
-            cand = candidates(P, *cell)
-            z = P.maximum_of(cand)
-        else:
-            cand, z = greatest(*cell)
+        cand = candidates(*cell)
+        z = P.maximum_of(cand)
         if z is not None:
             entries.append(z)
         elif op == "spc" and cell[0] == cell[1]:

@@ -242,8 +242,8 @@ def test_classification_is_one_pass(fig1, fig5, monkeypatch):
     monkeypatch.setattr(pc, "_rpc_candidates", lambda P, x, y: calls.append(1) or detail(P, x, y))
     assert classify(fig1, "rpc").holds and len(calls) == fig1.n**2
     calls.clear()
-    # the sectional scan: one scanner, each cell once in row-major order, and
-    # one L(U(x,y)) per distinct mask ↑x ∩ ↑y
+    # the sectional scan, classifying or best-effort: one scanner, each cell
+    # once in row-major order, and one L(U(x,y)) per distinct mask ↑x ∩ ↑y
     scanner, lower_mask = pc._spc_scanner, Poset.lower_mask
 
     def counted_scanner(P):
@@ -257,6 +257,11 @@ def test_classification_is_one_pass(fig1, fig5, monkeypatch):
     assert classify(fig5, "sspc").holds
     assert calls == ["scanner", *product(range(fig5.n), repeat=2)]
     distinct = {fig5.up[x] & fig5.up[y] for x, y in product(range(fig5.n), repeat=2)}
+    assert sorted(masks) == sorted(distinct)
+    calls.clear()
+    masks.clear()
+    best_effort_table(fig5, "spc")
+    assert calls == ["scanner", *product(range(fig5.n), repeat=2)]
     assert sorted(masks) == sorted(distinct)
 
 
