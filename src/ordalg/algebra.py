@@ -9,13 +9,19 @@ the incomparable pairs' cones, and :class:`ChoiceSpace` numbers its
 assignments in mixed radix.  Index 0 is the canonical choice: the
 smallest-index cone element for every pair.  :data:`PROFILES` names the six
 assigned algebras of :mod:`assign` and gives each its signature.
+
+A table of arity k is a k-fold nested sequence read one argument at a time,
+``t[a1]...[ak]``, so a constant is its own entry.  :func:`product_table`
+pairs two factors' tables into their product's, and :func:`reindex_table`
+maps a table's arguments and values; with them products, quotients and JSON
+need no case per arity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidChoice, MissingSymbol, NotDirected, UnknownLabel, UnknownSymbol
 from .poset import Poset, bits
@@ -42,10 +48,6 @@ class Signature:
         for s, a in self.symbols:
             if a not in (0, 1, 2):
                 raise ValueError(f"unsupported arity {a} for {s!r}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.symbols)
 
     def arity(self, name: str) -> int:
         for s, a in self.symbols:
@@ -133,24 +135,19 @@ class Algebra:
         arity = self.signature.arity(name)
         if len(args) != arity:
             raise ValueError(f"{name!r} expects {arity} arguments, got {len(args)}")
-        if arity == 0:
-            return t
-        if arity == 1:
-            return t[args[0]]
-        return t[args[0]][args[1]]
+        for a in args:
+            t = t[a]
+        return t
 
     def to_json(self) -> dict:
-        out_ops = []
-        for (name, arity), table in zip(self.signature.symbols, self.tables):
-            entry: dict = {"symbol": name, "arity": arity}
-            if arity == 0:
-                entry["table"] = table
-            elif arity == 1:
-                entry["table"] = list(table)
-            else:
-                entry["table"] = [list(r) for r in table]
-            out_ops.append(entry)
-        return {"labels": list(self.labels), "operations": out_ops}
+        every = range(self.n)
+        return {
+            "labels": list(self.labels),
+            "operations": [
+                {"symbol": name, "arity": arity, "table": reindex_table(table, arity, every, every)}
+                for (name, arity), table in zip(self.signature.symbols, self.tables)
+            ],
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "Algebra":
@@ -158,6 +155,21 @@ class Algebra:
             data["labels"],
             [(o["symbol"], o["arity"], o["table"]) for o in data["operations"]],
         )
+
+
+def product_table(t1, t2, arity: int, n2: int):
+    """The product's table, (i, j) numbered i·n2 + j: its entry at
+    ((i1, j1), ..., (ik, jk)) pairs ``t1[i1]...[ik]`` with ``t2[j1]...[jk]``."""
+    if arity == 0:
+        return t1 * n2 + t2
+    return [product_table(r1, r2, arity - 1, n2) for r1 in t1 for r2 in t2]
+
+
+def reindex_table(t, arity: int, args: Sequence[int], values: Sequence[int]):
+    """Nested lists whose entry at (a1, ..., ak) is ``values[t[args[a1]]...[args[ak]]]``."""
+    if arity == 0:
+        return values[t]
+    return [reindex_table(t[a], arity - 1, args, values) for a in args]
 
 
 def induced_order(A: Algebra, kind: str = "meet") -> Poset:

@@ -132,17 +132,19 @@ def _cmd_check(args) -> int:
 
 def _parse_choice_args(P, texts) -> dict[str, dict]:
     """``--choice`` overrides as ``{"meet": {pair: value}, "join": {...}}``,
-    the keyword arguments of :func:`assign_algebra`."""
+    the keyword arguments of :func:`assign_algebra`.  The item is read as in
+    the DSL, less any spaces (labels hold none)."""
+    from .dsl import choice_item
+
     chosen: dict[str, dict] = {"meet": {}, "join": {}}
     for text in texts or ():
         try:
             kind, rest = text.split(None, 1)
             if kind not in chosen:
                 raise ValueError(f"the kind must be 'meet' or 'join', not {kind!r}")
-            body, value = rest.split("=", 1)
-            a, b = body.strip()[1:-1].split(",", 1)
-            pair = (P.index(a.strip()), P.index(b.strip()))
-            chosen[kind][(min(pair), max(pair))] = P.index(value.strip())
+            a, b, value = choice_item("".join(rest.split()))
+            pair = (P.index(a), P.index(b))
+            chosen[kind][(min(pair), max(pair))] = P.index(value)
         except (ValueError, OrdalgError) as e:
             raise OrdalgError(f"bad --choice {text!r}: {e}") from e
     return chosen

@@ -21,6 +21,7 @@ holding its relation, so refinement is one AND, a meet is the congruence
 with the intersected relation, and a join is the element whose up-set is
 the intersection of two up-sets.  Covers come from the up-sets as well, and
 distributivity is decided by the join-prime test on join-irreducibles.
+Permutability is a count of blocks, not a composition (``permutes``).
 
 One table, ``_SCHEMES``, maps each term-scheme report key to the symbols the
 scheme needs and its numbered identities; a profile lists its keys, and
@@ -254,17 +255,20 @@ def meet2(c1: Congruence, c2: Congruence) -> Congruence:
     return Congruence(_canonical_rep([(c1.rep[i], c2.rep[i]) for i in range(c1.n)]))
 
 
-def compose_masks(c1: Congruence, c2: Congruence) -> tuple[int, ...]:
-    """Relational composition c1∘c2 as per-element bitsets."""
-    m1 = c1.block_masks()
-    m2 = c2.block_masks()
-    out = []
-    for a in range(c1.n):
-        acc = 0
-        for b in bits(m1[a]):
-            acc |= m2[b]
-        out.append(acc)
-    return tuple(out)
+def permutes(theta: Congruence, phi: Congruence, join: Congruence, meet: Congruence) -> bool:
+    """Whether θ∘φ = φ∘θ, given ``join`` = θ∨φ and ``meet`` = θ∧φ.
+
+    They permute iff θ∘φ = θ∨φ.  As a θ∘φ c iff [a]θ meets [c]φ, that holds
+    iff in each block B of θ∨φ every θ-block meets every φ-block.  Those
+    meets are the blocks of θ∧φ, so θ∧φ has Σ r_B·s_B blocks, with r_B
+    θ-blocks and s_B φ-blocks in B, iff θ and φ permute (fewer otherwise).
+    """
+    inside: dict[int, list[int]] = {}  # block of θ∨φ -> [θ-blocks, φ-blocks] in it
+    for side, c in enumerate((theta, phi)):
+        for a, r in enumerate(c.rep):
+            if a == r:
+                inside.setdefault(join.rep[a], [0, 0])[side] += 1
+    return sum(r * s for r, s in inside.values()) == meet.num_blocks
 
 
 @dataclass(frozen=True)
@@ -395,7 +399,6 @@ class CongruenceProperties:
     distributive: bool
     arithmetical: bool
     weakly_regular: bool | None
-    unit: int | None = None
 
 
 def congruence_properties(
@@ -420,14 +423,11 @@ def congruence_properties(
     cons = lat.congruences
     k = len(cons)
 
-    permutable = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            if compose_masks(cons[i], cons[j]) != compose_masks(cons[j], cons[i]):
-                permutable = False
-                break
-        if not permutable:
-            break
+    permutable = all(
+        permutes(cons[i], cons[j], cons[lat.join_table[i][j]], cons[lat.meet_table[i][j]])
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
 
     up = [sum(1 << j for j, v in enumerate(row) if v == j) for row in lat.join_table]
     lower_covers = [0] * k
@@ -444,14 +444,13 @@ def congruence_properties(
     distributive = all(join_prime(j) for j in range(k) if lower_covers[j] == 1)
 
     weakly_regular: bool | None = None
-    unit: int | None = None
     if unit_constant is not None:
         unit = unit_constant if isinstance(unit_constant, int) else A.constant(unit_constant)
         classes = [frozenset(c.block_of(unit)) for c in cons]
         weakly_regular = len(set(classes)) == k
 
     return CongruenceProperties(
-        permutable, distributive, permutable and distributive, weakly_regular, unit
+        permutable, distributive, permutable and distributive, weakly_regular
     )
 
 

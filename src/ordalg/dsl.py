@@ -69,6 +69,18 @@ class Document:
         return next(iter(self.algebras.items()))
 
 
+def choice_item(item: str) -> tuple[str, str, str]:
+    """The labels (x, y, z) of a ``{x,y}=z`` choice item; ``ValueError`` if
+    it has another form.  The caller checks the labels."""
+    body, sep, v = item.partition("=")
+    if not sep or not body.startswith("{") or not body.endswith("}"):
+        raise ValueError(f"choice item {item!r} is not of the form {{x,y}}=z")
+    a, comma, b = body[1:-1].partition(",")
+    if not comma:
+        raise ValueError(f"choice item {item!r} needs two elements")
+    return a, b, v
+
+
 def _split_pair_item(item: str, lineno: int) -> tuple[str, str]:
     """Split ``(a,b)`` respecting one level of {} or () nesting inside labels."""
     if not (item.startswith("(") and item.endswith(")")):
@@ -167,6 +179,8 @@ class _Parser:
                 ops.append((sym, 0, to_index(payload, line)))  # type: ignore[arg-type]
             elif arity == 1:
                 mapping: dict[str, str] = payload  # type: ignore[assignment]
+                for a in mapping:
+                    to_index(a, line)
                 missing = [l for l in P.labels if l not in mapping]
                 if missing:
                     self.fail(line, f"non-total unary table for {sym!r}: missing {missing[0]!r}")
@@ -216,6 +230,8 @@ class _Parser:
                 continue
             head, _, tail = line.partition(":")
             head_tokens = head.split()
+            if not head_tokens:
+                self.fail(lineno, "expected a directive before ':'")
             kw = head_tokens[0]
             if kw == "poset":
                 self.flush(lineno)
@@ -248,10 +264,8 @@ class _Parser:
                 if self.poset_name is None:
                     self.fail(lineno, "'order' outside a poset block")
                 for item in tail.split():
-                    if "<" not in item:
-                        self.fail(lineno, f"order item {item!r} is not of the form a<b")
                     a, _, bb = item.partition("<")
-                    if not a or not bb:
+                    if not a or not bb or "<" in bb:  # labels hold no '<'; chains are not read
                         self.fail(lineno, f"order item {item!r} is not of the form a<b")
                     self.order.append((a, bb))
             elif kw == "unary":
@@ -313,13 +327,10 @@ class _Parser:
                 store = b.choices.setdefault(kind, {})
                 b.choice_lines.setdefault(kind, lineno)
                 for item in head_tokens[2:]:
-                    body, sep, v = item.partition("=")
-                    if not sep or not body.startswith("{") or not body.endswith("}"):
-                        self.fail(lineno, f"choice item {item!r} is not of the form {{x,y}}=z")
-                    inner = body[1:-1]
-                    if "," not in inner:
-                        self.fail(lineno, f"choice item {item!r} needs two elements")
-                    a, bb = inner.split(",", 1)
+                    try:
+                        a, bb, v = choice_item(item)
+                    except ValueError as e:
+                        self.fail(lineno, str(e))
                     store[(a, bb)] = v
                 b.current_binary = None
             else:

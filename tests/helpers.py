@@ -5,7 +5,8 @@ cones are recomputed with plain double loops over ``leq``, congruence
 lattice tables with ``join2``/``meet2`` and plain scans, canonical keys by
 an unpruned backtracking, and the list of posets by keying every one-element
 extension of every smaller poset, so that golden values are checked through
-a second, dumber route.
+a second, dumber route.  Congruences are also read as plain sets of pairs,
+composed and closed directly, and operation tables are read by arity case.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from ordalg import Poset, build_poset
 from ordalg.algebra import JOIN, MEET, Algebra
 from ordalg.assign import canonical_choice, table_from_choice
-from ordalg.congruence import join2, meet2
+from ordalg.congruence import Congruence, all_congruences_bruteforce, join2, meet2
 from ordalg.enumeration import default_labels
 from ordalg.poset import (
     _DUAL_EQ,
@@ -352,3 +353,85 @@ def relabel(P: Poset, perm: list[int]) -> Poset:
         for y in bits(P.down[x]):
             down[perm[x]] |= 1 << perm[y]
     return Poset(P.labels, down)
+
+
+# -- congruences as relations, tables by arity ------------------------------------
+
+
+def relation(c: Congruence) -> frozenset[tuple[int, int]]:
+    """The congruence as its set of related pairs."""
+    return frozenset((a, b) for a in range(c.n) for b in range(c.n) if c.rep[a] == c.rep[b])
+
+
+def compose(r, s) -> frozenset[tuple[int, int]]:
+    """Relational composition r∘s: a r b s c."""
+    after: dict[int, list[int]] = {}
+    for b, c in s:
+        after.setdefault(b, []).append(c)
+    return frozenset((a, c) for a, b in r for c in after.get(b, ()))
+
+
+def relations_permute(r, s) -> bool:
+    return compose(r, s) == compose(s, r)
+
+
+def transitive_closure(r) -> frozenset[tuple[int, int]]:
+    while True:
+        wider = r | compose(r, r)
+        if wider == r:
+            return r
+        r = wider
+
+
+def congruence_census_oracle(A: Algebra) -> tuple[bool, bool]:
+    """(distributive, permutable) of Con(A), from the partition scan and
+    relations alone: meets are intersections, joins transitive closures of
+    unions, distributivity the identity on every triple, and permutability
+    composition on every pair."""
+    rels = [relation(c) for c in all_congruences_bruteforce(A)]
+    index = {r: i for i, r in enumerate(rels)}
+    join_t = [[index[transitive_closure(r | s)] for s in rels] for r in rels]
+    meet_t = [[index[r & s] for s in rels] for r in rels]
+    permutable = all(relations_permute(r, s) for i, r in enumerate(rels) for s in rels[i + 1:])
+    return distributive_oracle(join_t, meet_t), permutable
+
+
+def entry(table, arity: int, args):
+    """``table`` at ``args``, read case by case."""
+    if arity == 0:
+        return table
+    if arity == 1:
+        return table[args[0]]
+    return table[args[0]][args[1]]
+
+
+@st.composite
+def algebras(draw, max_n: int = 5):
+    """Random algebras with one constant c, one unary f and one binary g.
+
+    The tables respect a drawn colouring of the carrier (each entry's colour
+    depends only on its arguments' colours), so that partition is always a
+    congruence and Con(A) is seldom just {Δ, ∇}.
+    """
+    n = draw(st.integers(1, max_n))
+    colour = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    members: dict[int, list[int]] = {}
+    for a, c in enumerate(colour):
+        members.setdefault(c, []).append(a)
+
+    def table(arity: int):
+        quotient: dict[tuple[int, ...], int] = {}
+
+        def value(*args: int) -> int:
+            key = tuple(colour[a] for a in args)
+            if key not in quotient:
+                quotient[key] = draw(st.sampled_from(sorted(members)))
+            return draw(st.sampled_from(members[quotient[key]]))
+
+        if arity == 0:
+            return value()
+        if arity == 1:
+            return [value(a) for a in range(n)]
+        return [[value(a, b) for b in range(n)] for a in range(n)]
+
+    return Algebra([str(i) for i in range(n)], [("c", 0, table(0)), ("f", 1, table(1)), ("g", 2, table(2))])

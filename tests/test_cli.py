@@ -74,6 +74,7 @@ _MALFORMED = {
     "cycle": "poset p\n  elements: a b\n  order: a<b b<a\n",
     "duplicate_label": "poset p\n  elements: a a\n",
     "unknown_poset": "poset p\n  elements: a\nalgebra A on q\n  constant 0: a\n",
+    "no_directive": "poset p\n  elements: a\n: x\n",
 }
 
 _FILE_COMMANDS = {
@@ -140,9 +141,11 @@ def test_assign_choice_flag(fig1_file, capsys):
     (["--profile=pc", "--limit", "0"], "--limit applies only with --enumerate"),
     (["--profile=pc", "--enumerate", "--limit", "-1"], "--limit must be at least 0, got -1"),
     (["--profile=pc", "--limit", "-1"], "--limit must be at least 0, got -1"),
+    (["--profile=pc", "--choice", "meet (c,d)=a"], "'(c,d)=a' is not of the form {x,y}=z"),
+    (["--profile=pc", "--choice", "meet c,d=a"], "'c,d=a' is not of the form {x,y}=z"),
 ], ids=["kind", "join-without-join", "enumerate-choice", "enumerate-verify",
         "limit-without-enumerate", "limit-0-without-enumerate", "enumerate-negative-limit",
-        "negative-limit"])
+        "negative-limit", "choice-parentheses", "choice-no-braces"])
 def test_assign_rejects_ignored_overrides(fig1_file, capsys, argv, message):
     assert run_cli(["assign", fig1_file, *argv]) == 2
     captured = capsys.readouterr()
@@ -302,6 +305,9 @@ def test_choice_override_same_everywhere(fig1, fig1_file, capsys):
     dsl = parse(serialize_poset("fig1", fig1) + "algebra m on fig1\n  choice meet {c,d}=a\n")
     assert dsl.algebras["m"].table(MEET) == tuple(map(tuple, cli)) == library
     assert library[c][d] == a
+    assert run_cli(["assign", fig1_file, "--profile=pc", "--choice", "meet { c, d } = a",
+                    "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["algebras"][0]["operations"][0]["table"] == cli
 
 
 def test_fixtures_cli(capsys):

@@ -3,12 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    algebras,
     all_hold,
     bounded_posets,
+    congruence_census_oracle,
     distributive_oracle,
     lambda_algebra,
     lattice_oracle,
     meet_directoid,
+    relation,
+    relations_permute,
 )
 from ordalg import (
     Algebra,
@@ -24,7 +28,10 @@ from ordalg import (
     verify_term_conditions,
 )
 from ordalg.algebra import MEET, STAR, ZERO
-from ordalg.congruence import join2, meet2
+from ordalg.assign import enumerate_assignments
+from ordalg.congruence import join2, meet2, permutes
+from ordalg.enumeration import all_posets
+from ordalg.pc import classify
 from ordalg.errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
 
 
@@ -326,3 +333,49 @@ def test_scheme_implication_on_fixture_algebras(figs, fig1_rpc_alg):
                 assert props.permutable
             else:
                 assert props.weakly_regular
+
+
+def assert_permutability_matches_relations(A):
+    """``permutes`` on every pair, and ``permutable``, against composed relations."""
+    lat = congruence_lattice(A)
+    cons = lat.congruences
+    rels = [relation(c) for c in cons]
+    every = True
+    for i in range(len(cons)):
+        for j in range(i + 1, len(cons)):
+            join, meet = cons[lat.join_table[i][j]], cons[lat.meet_table[i][j]]
+            expected = relations_permute(rels[i], rels[j])
+            assert permutes(cons[i], cons[j], join, meet) == expected
+            every = every and expected
+    assert congruence_properties(A, lattice=lat).permutable == every
+
+
+@given(algebras())
+@settings(max_examples=200, deadline=None)
+def test_permutability_matches_composed_relations(A):
+    assert_permutability_matches_relations(A)
+
+
+def test_permutability_matches_composed_relations_on_corpus(figs):
+    for name, A in figs.algebras.items():
+        if name != "fig3_star":  # over the congruence budget
+            assert_permutability_matches_relations(A)
+
+
+@pytest.mark.parametrize("profile, counts", [("pc", (37, 7, 15)), ("stone", (35, 0, 6))])
+def test_congruence_census_n6(profile, counts):
+    # every assignment of every poset in the class with n <= 6: how many
+    # algebras, how many not congruence distributive, how many not permutable
+    found = [0, 0, 0]
+    for n in range(1, 7):
+        for P in all_posets(n):
+            if not classify(P, profile).holds:
+                continue
+            for A in enumerate_assignments(P, profile)[1]:
+                props = congruence_properties(A)
+                distributive, permutable = congruence_census_oracle(A)
+                assert (props.distributive, props.permutable) == (distributive, permutable)
+                found[0] += 1
+                found[1] += not distributive
+                found[2] += not permutable
+    assert tuple(found) == counts

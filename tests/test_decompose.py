@@ -1,6 +1,17 @@
-import pytest
+from itertools import product
 
-from helpers import lambda_algebra, meet_directoid
+import pytest
+from hypothesis import given, settings
+
+from helpers import (
+    algebras,
+    entry,
+    lambda_algebra,
+    meet_directoid,
+    relation,
+    relations_permute,
+    transitive_closure,
+)
 from ordalg import (
     Algebra,
     Congruence,
@@ -219,3 +230,47 @@ def test_distributive_products_decompose_congruences(two_chain, figs):
         for theta in congruence_lattice(prod).congruences:
             ok, _ = is_directly_decomposable_congruence(S, S, theta)
             assert ok
+
+
+@given(algebras(max_n=3), algebras(max_n=3))
+@settings(max_examples=100, deadline=None)
+def test_product_entries_are_componentwise(A1, A2):
+    prod = direct_product(A1, A2)
+    n2 = A2.n
+    assert prod.labels == tuple(f"({l1},{l2})" for l1 in A1.labels for l2 in A2.labels)
+    for (name, arity), t1, t2, t in zip(A1.signature.symbols, A1.tables, A2.tables, prod.tables):
+        for args in product(range(prod.n), repeat=arity):
+            left = entry(t1, arity, [a // n2 for a in args])
+            right = entry(t2, arity, [a % n2 for a in args])
+            assert entry(t, arity, args) == prod.apply(name, *args) == left * n2 + right
+
+
+@given(algebras())
+@settings(max_examples=100, deadline=None)
+def test_quotient_entries_are_blockwise(A):
+    for theta in congruence_lattice(A).congruences:
+        Q = quotient(A, theta)
+        block_of = {a: i for i, block in enumerate(theta.blocks()) for a in block}
+        for (_, arity), t, q in zip(A.signature.symbols, A.tables, Q.tables):
+            for args in product(range(A.n), repeat=arity):
+                assert entry(q, arity, [block_of[a] for a in args]) == block_of[entry(t, arity, args)]
+
+
+@given(algebras())
+@settings(max_examples=100, deadline=None)
+def test_factor_pairs_match_relations(A):
+    # join ∇, meet Δ and permuting composition, on relations
+    cons = congruence_lattice(A).congruences
+    total = relation(Congruence.total(A.n))
+    identity = relation(Congruence.identity(A.n))
+    for t in cons:
+        for p in cons:
+            r, s = relation(t), relation(p)
+            expected = (transitive_closure(r | s) == total and r & s == identity
+                        and relations_permute(r, s))
+            try:
+                FactorPair(t, p)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected

@@ -79,6 +79,13 @@ def test_parse_errors_positioned():
     with pytest.raises(ParseError) as e:
         parse("bogus directive\n")
     assert e.value.line == 1
+    with pytest.raises(ParseError) as e:
+        parse("poset p\n  elements: x\n: x\n")
+    assert e.value.line == 3 and "directive" in str(e.value)
+    with pytest.raises(ParseError) as e:  # chains are not read; said at the order line
+        parse("poset p\n  elements: a b c\n  order: a<b<c\n")
+    assert e.value.line == 3
+    assert "order item 'a<b<c' is not of the form a<b" in str(e.value)
 
 
 def test_parse_choice_outside_cone():
@@ -111,6 +118,9 @@ def test_parse_unknown_label_in_table():
             "poset p\n  elements: x\nalgebra a on p\n  unary f : x->zz\n"
         )
     assert "unknown element label" in str(e.value)
+    with pytest.raises(ParseError) as e:  # an unknown argument, not only a value
+        parse("poset p\n  elements: x\nalgebra a on p\n  unary f : x->x zz->x\n")
+    assert e.value.line == 4 and "unknown element label 'zz'" in str(e.value)
 
 
 def test_roundtrip_corpus(figs):
