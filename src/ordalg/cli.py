@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import PROFILES, Algebra, induced_order
 from .errors import MissingSymbol, NotAPartialOrder, OrdalgError
-from .poset import build_poset, is_distributive
+from .poset import MAX_CARRIER, build_poset, is_distributive
 
 if TYPE_CHECKING:
     from .dsl import Document
@@ -354,6 +354,10 @@ def _cmd_product(args) -> int:
     doc2 = _load(args.file2)
     n1, A1 = doc1.the_algebra(args.name1)
     n2, A2 = doc2.the_algebra(args.name2)
+    if A1.n * A2.n > MAX_CARRIER:  # the printed product must parse back
+        raise OrdalgError(
+            f"product sizes are capped at n <= {MAX_CARRIER}; {n1} x {n2} has {A1.n * A2.n}"
+        )
     A = direct_product(A1, A2)
     name = f"{n1}_x_{n2}"
     _emit(

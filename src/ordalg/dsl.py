@@ -16,28 +16,64 @@ indentation are ignored)::
       choice meet {x,y}=z              # derive ⊓ from the assignment rule
       choice join {x,y}=z              # derive ⊔ dually
 
+A label is nonempty and holds no whitespace, ``<``, ``:``, ``->`` or ``#``;
+a pair item splits at its top-level comma, so ``({a,b},c)`` names the labels
+``{a,b}`` and ``c``.  An algebra's POSET is defined above it, and each
+operation symbol, table cell, row and choice pair is given once.
+
 Choice lines override the canonical choice on the pairs they name, by the
 rule of :func:`ordalg.assign.assign_algebra` (see the :mod:`ordalg.assign`
 docstring): every incomparable pair not mentioned takes the canonical
-element.  Serialization always emits explicit tables (row form for binary
-operations), and ``parse(serialize(doc)) == doc``.
+element.  The built algebra lists the derived ⊓, then ⊔, then the explicit
+operations in line order.  Serialization always emits explicit tables (row
+form for binary operations), and ``parse(serialize(doc)) == doc``.
+
+Text is read block by block in line order, and each line's labels are
+resolved at that line, so a :class:`~ordalg.errors.ParseError` names the
+faulty line.  What needs the whole block is checked at its end and reported
+at the line it concerns: a poset that does not build at its header, a binary
+table with a missing cell at its ``binary`` line, invalid choices at the
+first ``choice`` line of their kind, and an algebra that does not build at
+its header.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, NoReturn
 
 from .algebra import JOIN, MEET, Algebra, _override_choice, table_from_choice
-from .errors import InvalidChoice, OrdalgError, ParseError
+from .errors import OrdalgError, ParseError
 from .poset import Poset, build_poset
 
 _RESERVED_IN_LABEL = ("<", ":", "->", "#")
+
+# line number, the words before ':' (a directive first), the text after ':'
+_Line = tuple[int, list[str], str]
+
+_KIND_OF = {MEET: "meet", JOIN: "join"}  # the choice lines that derive each symbol
 
 
 def _label_ok(label: str) -> bool:
     return bool(label) and not any(ch.isspace() for ch in label) and not any(
         r in label for r in _RESERVED_IN_LABEL
     )
+
+
+def _check_writable(labels) -> None:
+    for label in labels:
+        if not _label_ok(label):
+            raise ValueError(f"label {label!r} cannot be written in the DSL")
+
+
+def _the(kind: str, named: dict, name: str | None) -> tuple[str, object]:
+    if name is not None:
+        if name not in named:
+            raise OrdalgError(f"no {kind} named {name!r} in document")
+        return name, named[name]
+    if len(named) != 1:
+        raise OrdalgError(f"document defines {len(named)} {kind}s; pick one by name")
+    return next(iter(named.items()))
 
 
 @dataclass
@@ -47,26 +83,10 @@ class Document:
     algebra_poset: dict[str, str] = field(default_factory=dict)
 
     def the_poset(self, name: str | None = None) -> tuple[str, Poset]:
-        if name is not None:
-            if name not in self.posets:
-                raise OrdalgError(f"no poset named {name!r} in document")
-            return name, self.posets[name]
-        if len(self.posets) != 1:
-            raise OrdalgError(
-                f"document defines {len(self.posets)} posets; pick one by name"
-            )
-        return next(iter(self.posets.items()))
+        return _the("poset", self.posets, name)  # type: ignore[return-value]
 
     def the_algebra(self, name: str | None = None) -> tuple[str, Algebra]:
-        if name is not None:
-            if name not in self.algebras:
-                raise OrdalgError(f"no algebra named {name!r} in document")
-            return name, self.algebras[name]
-        if len(self.algebras) != 1:
-            raise OrdalgError(
-                f"document defines {len(self.algebras)} algebras; pick one by name"
-            )
-        return next(iter(self.algebras.items()))
+        return _the("algebra", self.algebras, name)  # type: ignore[return-value]
 
 
 def choice_item(item: str) -> tuple[str, str, str]:
@@ -97,262 +117,230 @@ def _split_pair_item(item: str, lineno: int) -> tuple[str, str]:
     raise ParseError(lineno, f"expected a top-level comma in {item!r}")
 
 
-class _AlgebraBuilder:
-    def __init__(self, name: str, poset_name: str, lineno: int):
-        self.name = name
-        self.poset_name = poset_name
-        self.lineno = lineno
-        self.ops: list[tuple[str, int, object, int]] = []  # (sym, arity, payload, line)
-        self.current_binary: dict[str, str] | None = None
-        self.choices: dict[str, dict[tuple[str, str], str]] = {}
-        self.choice_lines: dict[str, int] = {}
+def _lines(text: str) -> Iterator[_Line]:
+    """The nonblank lines, split as they are reached."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, tail = line.partition(":")
+        words = head.split()
+        if not words:
+            raise ParseError(lineno, "expected a directive before ':'")
+        yield lineno, words, tail
 
-    def op_symbols(self) -> set[str]:
-        return {sym for sym, _, _, _ in self.ops}
+
+def _misplaced(lineno: int, kw: str) -> NoReturn:
+    if kw in ("elements", "order"):
+        raise ParseError(lineno, f"{kw!r} outside a poset block")
+    if kw in ("unary", "binary", "row", "constant", "choice"):
+        raise ParseError(lineno, f"{kw!r} outside an algebra block")
+    raise ParseError(lineno, f"unknown directive {kw!r}")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.doc = Document()
-        self.poset_name: str | None = None
-        self.poset_line = 0
-        self.elements: list[str] | None = None
-        self.order: list[tuple[str, str]] = []
-        self.algebra: _AlgebraBuilder | None = None
+def _new_name(doc: Document, lineno: int, name: str) -> str:
+    if name in doc.posets or name in doc.algebras:
+        raise ParseError(lineno, f"duplicate definition name {name!r}")
+    return name
 
-    def fail(self, lineno: int, msg: str):
-        raise ParseError(lineno, msg)
 
-    def flush(self, lineno: int):
-        if self.poset_name is not None:
-            if self.elements is None:
-                self.fail(self.poset_line, f"poset {self.poset_name!r} has no elements line")
-            try:
-                P = build_poset(self.elements, self.order)
-            except (OrdalgError, ValueError) as e:
-                raise ParseError(self.poset_line, str(e)) from e
-            self.doc.posets[self.poset_name] = P
-            self.poset_name = None
-            self.elements = None
-            self.order = []
-        if self.algebra is not None:
-            self._finish_algebra(lineno)
-            self.algebra = None
+def _read_poset(doc: Document, header: _Line, lines: Iterator[_Line]) -> _Line | None:
+    """Read a poset block into ``doc``; the header that ends it, if any."""
+    lineno, words, tail = header
+    if len(words) != 2 or tail:
+        raise ParseError(lineno, "expected: poset NAME")
+    name = _new_name(doc, lineno, words[1])
+    elements: list[str] | None = None
+    order: list[tuple[str, str]] = []
+    for line in lines:
+        at, words, tail = line
+        kw = words[0]
+        if kw in _READERS:
+            break
+        if kw == "elements":
+            if elements is not None:
+                raise ParseError(at, "second 'elements' line in one poset block")
+            elements = tail.split()
+            for label in elements:
+                if not _label_ok(label):
+                    raise ParseError(at, f"label {label!r} contains reserved characters")
+        elif kw == "order":
+            for item in tail.split():
+                a, _, b = item.partition("<")
+                if not a or not b or "<" in b:  # labels hold no '<'; chains are not read
+                    raise ParseError(at, f"order item {item!r} is not of the form a<b")
+                order.append((a, b))
+        else:
+            _misplaced(at, kw)
+    else:
+        line = None
+    if elements is None:
+        raise ParseError(lineno, f"poset {name!r} has no elements line")
+    try:
+        doc.posets[name] = build_poset(elements, order)
+    except (OrdalgError, ValueError) as e:
+        raise ParseError(lineno, str(e)) from e
+    return line
 
-    def _finish_algebra(self, lineno: int):
-        b = self.algebra
-        assert b is not None
-        P = self.doc.posets.get(b.poset_name)
-        if P is None:
-            self.fail(b.lineno, f"algebra {b.name!r} references unknown poset {b.poset_name!r}")
-        ops: list[tuple[str, int, object]] = []
 
-        def to_index(label: str, line: int) -> int:
-            try:
-                return P.index(label)
-            except OrdalgError:
-                self.fail(line, f"unknown element label {label!r}")
+def _read_algebra(doc: Document, header: _Line, lines: Iterator[_Line]) -> _Line | None:
+    """Read an algebra block into ``doc``; the header that ends it, if any."""
+    lineno, words, tail = header
+    if len(words) != 4 or words[2] != "on" or tail:
+        raise ParseError(lineno, "expected: algebra NAME on POSET")
+    name = _new_name(doc, lineno, words[1])
+    poset_name = words[3]
+    P = doc.posets.get(poset_name)
+    if P is None:
+        raise ParseError(lineno, f"algebra {name!r} references unknown poset {poset_name!r}")
+    n = P.n
 
-        for kind in ("meet", "join"):
-            if kind not in b.choices:
-                continue
-            sym = MEET if kind == "meet" else JOIN
-            if sym in b.op_symbols():
-                self.fail(
-                    b.choice_lines[kind],
-                    f"algebra gives both an explicit {sym} table and {kind} choices",
-                )
-            line = b.choice_lines[kind]
-            overrides = {
-                (to_index(la, line), to_index(lb, line)): to_index(lv, line)
-                for (la, lb), lv in b.choices[kind].items()
-            }
-            try:
-                choice = _override_choice(P, kind, overrides)
-            except InvalidChoice as e:
-                raise ParseError(line, str(e)) from e
-            ops.append((sym, 2, table_from_choice(P, choice, kind)))
-
-        for sym, arity, payload, line in b.ops:
-            if arity == 0:
-                ops.append((sym, 0, to_index(payload, line)))  # type: ignore[arg-type]
-            elif arity == 1:
-                mapping: dict[str, str] = payload  # type: ignore[assignment]
-                for a in mapping:
-                    to_index(a, line)
-                missing = [l for l in P.labels if l not in mapping]
-                if missing:
-                    self.fail(line, f"non-total unary table for {sym!r}: missing {missing[0]!r}")
-                ops.append(
-                    (sym, 1, [to_index(mapping[l], line) for l in P.labels])
-                )
-            else:
-                rows: dict[str, list[str]] | dict[tuple[str, str], str] = payload  # type: ignore[assignment]
-                table = [[-1] * P.n for _ in range(P.n)]
-                if rows and isinstance(next(iter(rows)), tuple):
-                    for (la, lb), lv in rows.items():  # type: ignore[union-attr]
-                        table[to_index(la, line)][to_index(lb, line)] = to_index(lv, line)
-                else:
-                    for la, values in rows.items():  # type: ignore[union-attr]
-                        if len(values) != P.n:
-                            self.fail(
-                                line,
-                                f"non-total table for {sym!r}: row {la!r} has "
-                                f"{len(values)} of {P.n} entries",
-                            )
-                        x = to_index(la, line)
-                        for j, lv in enumerate(values):
-                            table[x][j] = to_index(lv, line)
-                holes = [
-                    (P.labels[i], P.labels[j])
-                    for i in range(P.n)
-                    for j in range(P.n)
-                    if table[i][j] == -1
-                ]
-                if holes:
-                    self.fail(
-                        line,
-                        f"non-total table for {sym!r}: missing entry at {holes[0]!r}",
-                    )
-                ops.append((sym, 2, table))
+    def index(label: str, at: int) -> int:
         try:
-            A = Algebra(P.labels, ops)
-        except (OrdalgError, ValueError) as e:
-            raise ParseError(b.lineno, str(e)) from e
-        self.doc.algebras[b.name] = A
-        self.doc.algebra_poset[b.name] = b.poset_name
+            return P.index(label)
+        except OrdalgError:
+            raise ParseError(at, f"unknown element label {label!r}") from None
 
-    def parse(self) -> Document:
-        for lineno, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, tail = line.partition(":")
-            head_tokens = head.split()
-            if not head_tokens:
-                self.fail(lineno, "expected a directive before ':'")
-            kw = head_tokens[0]
-            if kw == "poset":
-                self.flush(lineno)
-                if len(head_tokens) != 2 or tail:
-                    self.fail(lineno, "expected: poset NAME")
-                name = head_tokens[1]
-                if name in self.doc.posets or name in self.doc.algebras:
-                    self.fail(lineno, f"duplicate definition name {name!r}")
-                self.poset_name = name
-                self.poset_line = lineno
-            elif kw == "algebra":
-                self.flush(lineno)
-                if len(head_tokens) != 4 or head_tokens[2] != "on" or tail:
-                    self.fail(lineno, "expected: algebra NAME on POSET")
-                name = head_tokens[1]
-                if name in self.doc.posets or name in self.doc.algebras:
-                    self.fail(lineno, f"duplicate definition name {name!r}")
-                self.algebra = _AlgebraBuilder(name, head_tokens[3], lineno)
-            elif kw == "elements":
-                if self.poset_name is None:
-                    self.fail(lineno, "'elements' outside a poset block")
-                if self.elements is not None:
-                    self.fail(lineno, "second 'elements' line in one poset block")
-                labels = tail.split()
-                for l in labels:
-                    if not _label_ok(l):
-                        self.fail(lineno, f"label {l!r} contains reserved characters")
-                self.elements = labels
-            elif kw == "order":
-                if self.poset_name is None:
-                    self.fail(lineno, "'order' outside a poset block")
-                for item in tail.split():
-                    a, _, bb = item.partition("<")
-                    if not a or not bb or "<" in bb:  # labels hold no '<'; chains are not read
-                        self.fail(lineno, f"order item {item!r} is not of the form a<b")
-                    self.order.append((a, bb))
-            elif kw == "unary":
-                b = self._need_algebra(lineno, "unary")
-                if len(head_tokens) != 2:
-                    self.fail(lineno, "expected: unary SYM : a->b ...")
-                sym = head_tokens[1]
-                mapping: dict[str, str] = {}
-                for item in tail.split():
-                    a, sep, v = item.partition("->")
-                    if not sep or not a or not v:
-                        self.fail(lineno, f"unary item {item!r} is not of the form a->b")
-                    if a in mapping:
-                        self.fail(lineno, f"duplicate unary entry for {a!r}")
-                    mapping[a] = v
-                b.ops.append((sym, 1, mapping, lineno))
-                b.current_binary = None
-            elif kw == "binary":
-                b = self._need_algebra(lineno, "binary")
-                if len(head_tokens) != 2:
-                    self.fail(lineno, "expected: binary SYM : (a,b)->c ... (or row lines)")
-                sym = head_tokens[1]
-                items = tail.split()
-                if items:
-                    pairs: dict[tuple[str, str], str] = {}
-                    for item in items:
-                        lhs, sep, v = item.partition("->")
-                        if not sep:
-                            self.fail(lineno, f"binary item {item!r} is not of the form (a,b)->c")
-                        a, bb = _split_pair_item(lhs, lineno)
-                        pairs[(a, bb)] = v
-                    b.ops.append((sym, 2, pairs, lineno))
-                    b.current_binary = None
-                else:
-                    rows: dict[str, list[str]] = {}
-                    b.ops.append((sym, 2, rows, lineno))
-                    b.current_binary = rows
-            elif kw == "row":
-                b = self._need_algebra(lineno, "row")
-                if b.current_binary is None:
-                    self.fail(lineno, "'row' line without a preceding bare 'binary SYM :' line")
-                if len(head_tokens) != 2:
-                    self.fail(lineno, "expected: row LABEL: v1 v2 ...")
-                label = head_tokens[1]
-                if label in b.current_binary:
-                    self.fail(lineno, f"duplicate row for {label!r}")
-                b.current_binary[label] = tail.split()
-            elif kw == "constant":
-                b = self._need_algebra(lineno, "constant")
-                if len(head_tokens) != 2 or len(tail.split()) != 1:
-                    self.fail(lineno, "expected: constant SYM: label")
-                b.ops.append((head_tokens[1], 0, tail.split()[0], lineno))
-                b.current_binary = None
-            elif kw == "choice":
-                b = self._need_algebra(lineno, "choice")
-                if len(head_tokens) < 3 or head_tokens[1] not in ("meet", "join"):
-                    self.fail(lineno, "expected: choice meet|join {x,y}=z ...")
-                kind = head_tokens[1]
-                store = b.choices.setdefault(kind, {})
-                b.choice_lines.setdefault(kind, lineno)
-                for item in head_tokens[2:]:
-                    try:
-                        a, bb, v = choice_item(item)
-                    except ValueError as e:
-                        self.fail(lineno, str(e))
-                    store[(a, bb)] = v
-                b.current_binary = None
-            else:
-                self.fail(lineno, f"unknown directive {kw!r}")
-        self.flush(len(self.lines) + 1)
-        return self.doc
+    ops: list[tuple[str, int, object]] = []  # explicit operations in line order
+    op_line: dict[str, int] = {}
+    choices: dict[str, tuple[int, dict[tuple[int, int], int]]] = {}  # kind: (first line, cells)
+    rows: tuple[str, list[list[int]]] | None = None  # the table that row lines fill
 
-    def _need_algebra(self, lineno: int, kw: str) -> _AlgebraBuilder:
-        if self.algebra is None:
-            self.fail(lineno, f"{kw!r} outside an algebra block")
-        return self.algebra
+    def add_op(sym: str, arity: int, table: object, at: int) -> None:
+        kind = _KIND_OF.get(sym)
+        if kind in choices:
+            raise ParseError(at, f"algebra gives both an explicit {sym} table and {kind} choices")
+        if sym in op_line:
+            raise ParseError(at, "duplicate symbol in signature")
+        ops.append((sym, arity, table))
+        op_line[sym] = at
+
+    for line in lines:
+        at, words, tail = line
+        kw = words[0]
+        if kw in _READERS:
+            break
+        if kw == "row":
+            if rows is None:
+                raise ParseError(at, "'row' line without a preceding bare 'binary SYM :' line")
+            if len(words) != 2:
+                raise ParseError(at, "expected: row LABEL: v1 v2 ...")
+            sym, table = rows
+            x = index(words[1], at)
+            if table[x][0] != -1:
+                raise ParseError(at, f"duplicate row for {words[1]!r}")
+            values = tail.split()
+            if len(values) != n:
+                raise ParseError(
+                    at,
+                    f"non-total table for {sym!r}: row {words[1]!r} has "
+                    f"{len(values)} of {n} entries",
+                )
+            table[x] = [index(v, at) for v in values]
+            continue
+        rows = None
+        if kw == "unary":
+            if len(words) != 2:
+                raise ParseError(at, "expected: unary SYM : a->b ...")
+            unary = [-1] * n
+            add_op(words[1], 1, unary, at)
+            for item in tail.split():
+                a, sep, v = item.partition("->")
+                if not sep or not a or not v:
+                    raise ParseError(at, f"unary item {item!r} is not of the form a->b")
+                x = index(a, at)
+                if unary[x] != -1:
+                    raise ParseError(at, f"duplicate unary entry for {a!r}")
+                unary[x] = index(v, at)
+            if -1 in unary:
+                missing = P.labels[unary.index(-1)]
+                raise ParseError(at, f"non-total unary table for {words[1]!r}: missing {missing!r}")
+        elif kw == "binary":
+            if len(words) != 2:
+                raise ParseError(at, "expected: binary SYM : (a,b)->c ... (or row lines)")
+            table = [[-1] * n for _ in range(n)]
+            add_op(words[1], 2, table, at)
+            items = tail.split()
+            for item in items:
+                lhs, sep, v = item.partition("->")
+                if not sep:
+                    raise ParseError(at, f"binary item {item!r} is not of the form (a,b)->c")
+                a, b = _split_pair_item(lhs, at)
+                x, y = index(a, at), index(b, at)
+                if table[x][y] != -1:
+                    raise ParseError(at, f"duplicate binary entry for {lhs!r}")
+                table[x][y] = index(v, at)
+            if not items:
+                rows = (words[1], table)
+        elif kw == "constant":
+            if len(words) != 2 or len(tail.split()) != 1:
+                raise ParseError(at, "expected: constant SYM: label")
+            add_op(words[1], 0, index(tail.split()[0], at), at)
+        elif kw == "choice":
+            if len(words) < 3 or words[1] not in ("meet", "join"):
+                raise ParseError(at, "expected: choice meet|join {x,y}=z ...")
+            kind = words[1]
+            sym = MEET if kind == "meet" else JOIN
+            if sym in op_line:
+                raise ParseError(at, f"algebra gives both an explicit {sym} table and {kind} choices")
+            cells = choices.setdefault(kind, (at, {}))[1]
+            for item in words[2:]:
+                try:
+                    a, b, v = choice_item(item)
+                except ValueError as e:
+                    raise ParseError(at, str(e)) from e
+                x, y = index(a, at), index(b, at)
+                if (x, y) in cells or (y, x) in cells:
+                    raise ParseError(at, f"duplicate {kind} choice for {{{a},{b}}}")
+                cells[(x, y)] = index(v, at)
+        else:
+            _misplaced(at, kw)
+    else:
+        line = None
+
+    for sym, arity, table in ops:
+        if arity == 2:
+            for x, row in enumerate(table):  # type: ignore[arg-type]
+                if -1 in row:
+                    hole = (P.labels[x], P.labels[row.index(-1)])
+                    raise ParseError(
+                        op_line[sym], f"non-total table for {sym!r}: missing entry at {hole!r}"
+                    )
+    derived: list[tuple[str, int, object]] = []
+    for kind, sym in (("meet", MEET), ("join", JOIN)):
+        if kind in choices:
+            first, cells = choices[kind]
+            try:
+                choice = _override_choice(P, kind, cells)
+            except OrdalgError as e:
+                raise ParseError(first, str(e)) from e
+            derived.append((sym, 2, table_from_choice(P, choice, kind)))
+    try:
+        doc.algebras[name] = Algebra(P.labels, derived + ops)
+    except (OrdalgError, ValueError) as e:
+        raise ParseError(lineno, str(e)) from e
+    doc.algebra_poset[name] = poset_name
+    return line
+
+
+_READERS = {"poset": _read_poset, "algebra": _read_algebra}
 
 
 def parse(text: str) -> Document:
     """Parse DSL text into a document of named posets and algebras."""
-    return _Parser(text).parse()
+    doc = Document()
+    lines = _lines(text)
+    line = next(lines, None)
+    while line is not None:
+        lineno, words, _ = line
+        if words[0] not in _READERS:
+            _misplaced(lineno, words[0])
+        line = _READERS[words[0]](doc, line, lines)
+    return doc
 
 
 def serialize_poset(name: str, P: Poset) -> str:
-    for l in P.labels:
-        if not _label_ok(l):
-            raise ValueError(f"label {l!r} cannot be written in the DSL")
+    _check_writable(P.labels)
     lines = [f"poset {name}", "  elements: " + " ".join(P.labels)]
     cov = P.covers()
     if cov:
@@ -363,9 +351,7 @@ def serialize_poset(name: str, P: Poset) -> str:
 
 
 def serialize_algebra(name: str, A: Algebra, poset_name: str) -> str:
-    for l in A.labels:
-        if not _label_ok(l):
-            raise ValueError(f"label {l!r} cannot be written in the DSL")
+    _check_writable(A.labels)
     lines = [f"algebra {name} on {poset_name}"]
     for (sym, arity), table in zip(A.signature.symbols, A.tables):
         if arity == 0:

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from helpers import idx, wide_poset
-from ordalg import PROFILES, Algebra, assign_algebra, induced_order, parse, pc, serialize_poset
+from ordalg import (
+    PROFILES, Algebra, assign_algebra, induced_order, parse, pc, serialize_algebra, serialize_poset,
+)
 from ordalg.algebra import MEET
 from ordalg.cli import run_cli
 from ordalg.fixtures import FIXTURES_TEXT
@@ -100,6 +102,13 @@ def test_malformed_input_never_crashes(tmp_path, capsys, case, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("error:")
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_choice_error_names_its_line(tmp_path, capsys):
+    f = tmp_path / "antichain.ord"
+    f.write_text("poset p\n  elements: x y\nalgebra a on p\n  choice meet {x,y}=x\n", encoding="utf-8")
+    assert run_cli(["con", str(f)]) == 2
+    assert capsys.readouterr().err == "error: line 4: not down-directed: L(x,y) is empty\n"
 
 
 def test_usage_error():
@@ -217,6 +226,18 @@ def test_product_cli(corpus, tmp_path, capsys):
     code = run_cli(["product", corpus, corpus, "--name1", "fig4_spc", "--name2", "fig4_spc", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and len(payload["algebra"]["labels"]) == 16
+
+
+def test_product_rejects_carriers_above_cap(corpus, fig3, tmp_path, capsys):
+    # before building, whether the product has a ⊓ (pc-assigned fig3) or not
+    f = tmp_path / "fig3_pc.ord"
+    f.write_text(serialize_poset("fig3", fig3)
+                 + serialize_algebra("fig3_pc", assign_algebra(fig3, "pc"), "fig3"), encoding="utf-8")
+    for argv in ([corpus, corpus, "--name1", "fig3_star", "--name2", "fig3_star"], [f, f]):
+        assert run_cli(["product", *map(str, argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: product sizes are capped at n <= 64;")
 
 
 @pytest.mark.parametrize("argv", [

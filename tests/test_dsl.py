@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from helpers import algebras
 from ordalg import build_poset, classify, fixtures, parse, serialize
 from ordalg.algebra import MEET
 from ordalg.dsl import serialize_algebra, serialize_poset
@@ -88,6 +90,32 @@ def test_parse_errors_positioned():
     assert "order item 'a<b<c' is not of the form a<b" in str(e.value)
 
 
+_CHAIN = "poset p\n  elements: x y\n  order: x<y\nalgebra a on p\n"  # lines 1-4
+_VEE = "poset p\n  elements: x y z\n  order: x<y x<z\nalgebra a on p\n"  # lines 1-4
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("poset p\n  elements: x y\nalgebra a on p\n"
+     "  binary f : (x,x)->x (x,x)->y (x,y)->x (y,x)->x (y,y)->y\n",
+     4, "duplicate binary entry for '(x,x)'"),
+    ("poset p\n  elements: x y\nalgebra a on p\n  choice meet {x,y}=x\n",
+     4, "not down-directed"),
+    (_CHAIN + "  binary f :\n    row x: x y\n    row zz: x y\n", 7, "unknown element label 'zz'"),
+    (_VEE + "  choice meet {y,z}=x\n  choice meet {y,zz}=x\n", 6, "unknown element label 'zz'"),
+    (_VEE + "  choice meet {y,z}=x\n  choice meet {z,y}=x\n", 6, "duplicate meet choice for {z,y}"),
+    ("poset p\n  elements: x\nalgebra a on p\n  unary f : x->zz\n  binary g : bad\n",
+     4, "unknown element label 'zz'"),
+    (_CHAIN + "  unary f : x->x y->y\n  constant c: x\n  unary f : x->y y->y\n",
+     7, "duplicate symbol in signature"),
+    (_VEE + "  choice meet {y,z}=x\n  constant ⊓: x\n", 6, "both an explicit ⊓ table and meet choices"),
+], ids=["repeated-pair-cell", "choice-not-directed", "row-label", "second-choice-line",
+        "repeated-choice-pair", "earliest-line", "repeated-symbol", "choice-then-explicit"])
+def test_parse_error_at_faulty_line(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.line == line and message in e.value.message
+
+
 def test_parse_choice_outside_cone():
     with pytest.raises(ParseError) as e:
         parse(
@@ -141,6 +169,22 @@ def test_roundtrip_fixture_text_is_canonicalizable():
     # the shipped corpus parses to the same document as its canonical form
     doc = parse(FIXTURES_TEXT)
     assert parse(serialize(doc)) == doc
+
+
+@given(algebras())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_random_tables(A):
+    text = serialize_poset("p", build_poset(A.labels, [])) + serialize_algebra("a", A, "p")
+    assert parse(text).algebras["a"] == A
+    # the binary g comes last, so its row form ends the text
+    pairs = " ".join(
+        f"({A.labels[x]},{A.labels[y]})->{A.labels[v]}"
+        for x, row in enumerate(A.table("g"))
+        for y, v in enumerate(row)
+    )
+    head, rows, _ = text.partition("  binary g :\n")
+    assert rows
+    assert parse(f"{head}  binary g : {pairs}\n").algebras["a"] == A
 
 
 def test_serialize_rejects_bad_labels():
