@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 verdict holds (or nothing contradictory found), 1 verdict fails
-(witness printed), 2 usage or input errors.
+(witness printed), 2 usage or input errors, 141 (128 + SIGPIPE) when the
+reader of stdout closed it early, with nothing printed.
 
 Every call is a fresh process, so start-up is part of every command's time.
 A command therefore loads only the layers it calls: each ``_cmd_*`` imports
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -143,8 +145,10 @@ def _parse_choice_args(P, texts) -> dict[str, dict]:
             if kind not in chosen:
                 raise ValueError(f"the kind must be 'meet' or 'join', not {kind!r}")
             a, b, value = choice_item("".join(rest.split()))
-            pair = (P.index(a), P.index(b))
-            chosen[kind][(min(pair), max(pair))] = P.index(value)
+            pair = tuple(sorted((P.index(a), P.index(b))))
+            if pair in chosen[kind]:
+                raise ValueError(f"duplicate {kind} choice for {{{a},{b}}}")
+            chosen[kind][pair] = P.index(value)
         except (ValueError, OrdalgError) as e:
             raise OrdalgError(f"bad --choice {text!r}: {e}") from e
     return chosen
@@ -511,7 +515,16 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly with the shell's SIGPIPE
+        # status, and send the flush at exit to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OrdalgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

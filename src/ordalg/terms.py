@@ -10,10 +10,15 @@ total and auditable.
 rejects what cannot be evaluated (unbound or re-bound variables, symbols
 outside the signature, wrong arities) as it builds the closures, and returns
 their cost bound and slot count with them.  Every quantifier, the outer one
-included, runs as a compiled loop over consecutive slots of one list.
+included, runs as a compiled loop over consecutive slots of one list.  An
+implication runs its cheaper side first, by that cost bound: most
+characterizing conditions are a quantified premise costing n to n² per outer
+assignment and a one-equation conclusion, which is then tried first.  The
+cost is an upper bound on the assignments evaluated, not the work done.
 :func:`evaluate_at` is a plain recursive interpreter over name-keyed
 environments that shares no code with the compiler; it is the independent
-oracle that re-validates reported witnesses.
+oracle that re-validates reported witnesses, and it keeps the premise-first
+order on purpose, so that the two paths evaluate implications differently.
 
 No domain formula set lives here: the conditions, derived identities and
 axioms are in :mod:`assign`, the term schemes in :mod:`congruence`.
@@ -238,6 +243,14 @@ def _compile_node(
     ``cost`` bounds the assignments the closure evaluates and ``size`` is the
     length of slot list it needs.  A quantifier's variables take the next
     consecutive slots; when it fails, they keep the first failing values.
+
+    An implication runs its cheaper side first: when the conclusion costs
+    less than the premise, a true conclusion settles it before the premise
+    runs, and otherwise a false premise does.  Both orders compute the same
+    truth value and the outer slots, hence the witness and the count, do not
+    depend on it; the sides share slots, but each quantifier writes its own
+    before reading them.  ``cost`` stays ``premise + conclusion``: it is the
+    bound ``BUDGET`` checks, not the work done.
     """
     if isinstance(node, Eq):
         lhs = _compile_term(A, node.lhs, slots)
@@ -267,6 +280,8 @@ def _compile_node(
     if isinstance(node, Implies):
         prem, pc, ps = _compile_node(A, node.premise, slots)
         conc, cc, cs = _compile_node(A, node.conclusion, slots)
+        if cc < pc:
+            return (lambda env: conc(env) or not prem(env)), pc + cc, max(ps, cs)
         return (lambda env: (not prem(env)) or conc(env)), pc + cc, max(ps, cs)
     if isinstance(node, Iff):
         lhs, lc, ls = _compile_node(A, node.lhs, slots)

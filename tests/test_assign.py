@@ -396,3 +396,19 @@ def test_audit_rejects_budget_below_one(fig2, budget):
 def test_audit_random_posets_never_diverge(P):
     for prof in PROFILES:
         assert theorem_equivalence_audit(P, prof).holds
+
+
+def test_audit_every_small_poset_whole():
+    # every assignment of every poset with n <= 6, none sampled; in_class
+    # counts the assignments on posets in the profile's class
+    checked = dict.fromkeys(PROFILES, 0)
+    in_class = dict.fromkeys(PROFILES, 0)
+    for n in range(1, 7):
+        for P in all_posets(n):
+            for prof in PROFILES:
+                rep = theorem_equivalence_audit(P, prof)
+                assert not rep.divergences and not rep.sampled
+                checked[prof] += rep.assignments_checked
+                in_class[prof] += rep.assignments_checked if rep.poset_holds else 0
+    assert checked == {"pc": 435, "stone": 68, "rpc": 435, "spc": 68, "spc1": 68, "sspc": 68}
+    assert in_class == {"pc": 37, "stone": 35, "rpc": 21, "spc": 45, "spc1": 45, "sspc": 45}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordalg
 from helpers import idx, wide_poset
 from ordalg import (
     PROFILES, Algebra, assign_algebra, induced_order, parse, pc, serialize_algebra, serialize_poset,
@@ -152,13 +157,29 @@ def test_assign_choice_flag(fig1_file, capsys):
     (["--profile=pc", "--limit", "-1"], "--limit must be at least 0, got -1"),
     (["--profile=pc", "--choice", "meet (c,d)=a"], "'(c,d)=a' is not of the form {x,y}=z"),
     (["--profile=pc", "--choice", "meet c,d=a"], "'c,d=a' is not of the form {x,y}=z"),
+    (["--profile=pc", "--choice", "meet {c,d}=a", "--choice", "meet {d,c}=b"],
+     "bad --choice 'meet {d,c}=b': duplicate meet choice for {d,c}"),
 ], ids=["kind", "join-without-join", "enumerate-choice", "enumerate-verify",
         "limit-without-enumerate", "limit-0-without-enumerate", "enumerate-negative-limit",
-        "negative-limit", "choice-parentheses", "choice-no-braces"])
+        "negative-limit", "choice-parentheses", "choice-no-braces", "choice-repeated-pair"])
 def test_assign_rejects_ignored_overrides(fig1_file, capsys, argv, message):
     assert run_cli(["assign", fig1_file, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def test_closed_stdout_exits_quietly(corpus):
+    # the output (481 kB) outgrows the pipe buffer, so writing it must meet
+    # the closed pipe
+    argv = ["assign", corpus, "--profile", "stone", "--name", "fig2", "--enumerate", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(ordalg.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "ordalg", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b"" and code == 141
 
 
 def test_assign_not_in_class(corpus, capsys):

@@ -283,13 +283,25 @@ def test_sibling_quantifiers_may_reuse_a_name(fig1_pc):
         Implies(Forall(("z",), Eq(m(X, Z), m(Z, Y))), Forall(("z",), Eq(m(Z, X), m(Y, Z)))),
     )
     g = Forall(("x", "y"), Iff(Forall(("z",), Eq(m(X, Z), Z)), Forall(("z",), Eq(m(Y, Z), Z))))
+    # the conclusion block costs n and the premise n², so the conclusion runs
+    # first and the premise then rewrites z; on B all four (premise,
+    # conclusion) outcomes occur
+    W = Var("w")
+    k = Forall(
+        ("x", "y"),
+        Implies(
+            Forall(("z", "w"), Eq(m(X, m(Z, W)), m(m(X, Z), W))),
+            Forall(("z",), Eq(m(X, Z), m(Z, X))),
+        ),
+    )
     B = _scrambled(fig1_pc, random.Random(5))
     outcomes = set()
     for A in (fig1_pc, B):
-        for h in (f, g):
+        for h in (f, g, k):
             assert _compiled(A, h) == _interpreted(A, h)
             outcomes.add(_compiled(A, h)[0])
     assert outcomes == {True, False}
+    assert _compiled(fig1_pc, k)[0] and not _compiled(B, k)[0]
 
 
 def test_nullary_application_is_its_constant(fig1_pc):
