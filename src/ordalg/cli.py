@@ -519,11 +519,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader closed stdout: stop quietly with the shell's SIGPIPE
-        # status, and send the flush at exit to the null device
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # the reader closed stdout: stop quietly with the shell's SIGPIPE status
         return 141
     except (OrdalgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -531,4 +527,10 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    if code == 141:
+        # stdout's reader is gone: send the flush at exit to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)

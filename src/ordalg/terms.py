@@ -11,10 +11,10 @@ rejects what cannot be evaluated (unbound or re-bound variables, symbols
 outside the signature, wrong arities) as it builds the closures, and returns
 their cost bound and slot count with them.  Every quantifier, the outer one
 included, runs as a compiled loop over consecutive slots of one list.  An
-implication runs its cheaper side first, by that cost bound: most
-characterizing conditions are a quantified premise costing n to n² per outer
-assignment and a one-equation conclusion, which is then tried first.  The
-cost is an upper bound on the assignments evaluated, not the work done.
+implication runs its conclusion first: the characterizing conditions are a
+quantified premise costing n to n² per outer assignment and a one-equation
+conclusion, so a true conclusion spares the premise.  The cost is an upper
+bound on the assignments evaluated, not the work done.
 :func:`evaluate_at` is a plain recursive interpreter over name-keyed
 environments that shares no code with the compiler; it is the independent
 oracle that re-validates reported witnesses, and it keeps the premise-first
@@ -244,13 +244,12 @@ def _compile_node(
     length of slot list it needs.  A quantifier's variables take the next
     consecutive slots; when it fails, they keep the first failing values.
 
-    An implication runs its cheaper side first: when the conclusion costs
-    less than the premise, a true conclusion settles it before the premise
-    runs, and otherwise a false premise does.  Both orders compute the same
-    truth value and the outer slots, hence the witness and the count, do not
-    depend on it; the sides share slots, but each quantifier writes its own
-    before reading them.  ``cost`` stays ``premise + conclusion``: it is the
-    bound ``BUDGET`` checks, not the work done.
+    An implication runs its conclusion first, so a true conclusion settles it
+    before the premise runs.  This gives the premise-first truth value, and
+    the outer slots, hence the witness and the count, do not depend on the
+    order; the sides share slots, but each quantifier writes its own before
+    reading them.  ``cost`` stays ``premise + conclusion``: it is the bound
+    ``BUDGET`` checks, not the work done.
     """
     if isinstance(node, Eq):
         lhs = _compile_term(A, node.lhs, slots)
@@ -280,9 +279,7 @@ def _compile_node(
     if isinstance(node, Implies):
         prem, pc, ps = _compile_node(A, node.premise, slots)
         conc, cc, cs = _compile_node(A, node.conclusion, slots)
-        if cc < pc:
-            return (lambda env: conc(env) or not prem(env)), pc + cc, max(ps, cs)
-        return (lambda env: (not prem(env)) or conc(env)), pc + cc, max(ps, cs)
+        return (lambda env: conc(env) or not prem(env)), pc + cc, max(ps, cs)
     if isinstance(node, Iff):
         lhs, lc, ls = _compile_node(A, node.lhs, slots)
         rhs, rc, rs = _compile_node(A, node.rhs, slots)

@@ -182,6 +182,15 @@ def test_closed_stdout_exits_quietly(corpus):
     assert err == b"" and code == 141
 
 
+def test_closed_stdout_in_process_leaves_the_caller_s_stdout(monkeypatch, capsys):
+    def closed(args):
+        raise BrokenPipeError
+    monkeypatch.setattr("ordalg.cli._cmd_fixtures", closed)
+    assert run_cli(["fixtures"]) == 141
+    print("still open")
+    assert capsys.readouterr() == ("still open\n", "")
+
+
 def test_assign_not_in_class(corpus, capsys):
     code = run_cli(["assign", corpus, "--profile=rpc", "--name", "fig5"])
     assert code == 2

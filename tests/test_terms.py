@@ -283,9 +283,8 @@ def test_sibling_quantifiers_may_reuse_a_name(fig1_pc):
         Implies(Forall(("z",), Eq(m(X, Z), m(Z, Y))), Forall(("z",), Eq(m(Z, X), m(Y, Z)))),
     )
     g = Forall(("x", "y"), Iff(Forall(("z",), Eq(m(X, Z), Z)), Forall(("z",), Eq(m(Y, Z), Z))))
-    # the conclusion block costs n and the premise n², so the conclusion runs
-    # first and the premise then rewrites z; on B all four (premise,
-    # conclusion) outcomes occur
+    # the conclusion block (cost n) runs before the premise (cost n²), which
+    # then rewrites z; on B all four (premise, conclusion) outcomes occur
     W = Var("w")
     k = Forall(
         ("x", "y"),
