@@ -20,25 +20,25 @@ element.  Each profile has the quantified conditions that characterize its
 poset class (:func:`conditions_for`), and some have derived identities that
 must then follow (:func:`derived_identities_for`).  The axioms of
 commutative meet and join directoids and of λ-lattices, which every
-assignment satisfies, are checked by :func:`verify_axioms`.
+assignment satisfies, are checked by :func:`verify_axioms`.  Each of these
+formula sets is a table of the text :func:`~ordalg.terms.render_formula`
+prints, read by :func:`~ordalg.terms.parse_formula` once per process.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from . import pc
 # The choice names stay bound here too: callers import them from this module,
 # and perfbench/trace_job.py wraps ``assign.enumerate_choices``.
 from .algebra import (
-    CIRC,
     JOIN,
     MEET,
-    ONE,
     PROFILES,
-    STAR,
     ZERO,
     Algebra,
     Choice,
@@ -58,21 +58,10 @@ from .errors import (
     OrdalgError,
 )
 from .poset import Poset, extremes
-from .terms import (
-    App,
-    Const,
-    Eq,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Report,
-    Var,
-    check_formula,
-    render_formula,
-)
+from .terms import Formula, Report, check_formula, parse_formula
 
 AUDIT_BUDGET = 10_000  # assignments an audit checks before it samples
+AUDIT_SEED = 20210  # seeds the audit's sample, so every run checks the same assignments
 
 
 def _signature(profile: str) -> Signature:
@@ -189,115 +178,48 @@ def cone_via_directoid(A: Algebra, a: int, b: int, kind: str = "meet") -> frozen
 
 # -- characterizing conditions ---------------------------------------------------
 
+# in the sectional conditions (x⊔t)⊔(y⊔t) ranges over U(x,y) as t runs
+_PC_CONDITIONS = (
+    ("i", "∀x: 0⊓x = 0"),
+    ("ii", "∀x,y: (x⊓y)⊓(x*⊓y) = 0"),
+    ("iii", "∀x,y: [∀z: (x⊓z)⊓(y⊓z) = 0] ⇒ y⊓x* = y"),
+)
+_SPC_CONDITIONS = (
+    ("i", "∀x,y: y⊓(x∘y) = y"),
+    ("ii", "∀x,y,z: [∀t: (((x⊔t)⊔(y⊔t))⊓z)⊓((x∘y)⊓z) = z] ⇒ z⊓y = z"),
+    ("iii", "∀x,y,z: [∀s: [∀t: (((x⊔t)⊔(y⊔t))⊓s)⊓(z⊓s) = s] ⇔ [s⊓y = s]] ⇒ z⊓(x∘y) = z"),
+)
+_WITH_1 = ("iv", "∀x: x⊓1 = x")
+_CONDITIONS = {
+    "pc": _PC_CONDITIONS,
+    "stone": (*_PC_CONDITIONS, ("iv", "∀x,y: (x*⊔y)⊔((x*)*⊔y) = 0*")),
+    "rpc": (
+        ("i", "∀x: x⊓1 = x"),
+        ("ii", "∀x,y,z: ((x⊓z)⊓((x*y)⊓z))⊓y = (x⊓z)⊓((x*y)⊓z)"),
+        ("iii", "∀x,y,z: [∀t: ((x⊓t)⊓(z⊓t))⊓y = (x⊓t)⊓(z⊓t)] ⇒ z⊓(x*y) = z"),
+    ),
+    "spc": _SPC_CONDITIONS,
+    "spc1": (*_SPC_CONDITIONS, _WITH_1),
+    "sspc": (*_SPC_CONDITIONS, _WITH_1, ("v", "∀x,y: x⊓((x∘y)∘y) = x")),
+}
 
-def _m(a, b):
-    return App(MEET, (a, b))
+_SPC_IDENTITIES = (("a", "∀x: x∘x = 1"), ("b", "∀x: 1∘x = x"))
+_DERIVED_IDENTITIES = {
+    "rpc": (("a", "∀x: x*x = 1"), ("b", "∀x: 1*x = x"), ("c", "∀x,y: x⊓((x*y)*y) = x")),
+    "spc1": _SPC_IDENTITIES,
+    "sspc": _SPC_IDENTITIES,
+}
 
 
-def _j(a, b):
-    return App(JOIN, (a, b))
+def _parsed(named_texts) -> tuple[tuple[str, Formula], ...]:
+    return tuple((name, parse_formula(text)) for name, text in named_texts)
 
 
+@cache
 def conditions_for(profile: str) -> tuple[tuple[str, Formula], ...]:
     """The quantified conditions equivalent to membership in the profile's class."""
     _signature(profile)  # rejects an unknown name
-    x, y, z, s, t = Var("x"), Var("y"), Var("z"), Var("s"), Var("t")
-
-    if profile in ("pc", "stone"):
-        zero = Const(ZERO)
-        star = lambda a: App(STAR, (a,))
-        conds = [
-            ("i", Forall(("x",), Eq(_m(zero, x), zero))),
-            ("ii", Forall(("x", "y"), Eq(_m(_m(x, y), _m(star(x), y)), zero))),
-            (
-                "iii",
-                Forall(
-                    ("x", "y"),
-                    Implies(
-                        Forall(("z",), Eq(_m(_m(x, z), _m(y, z)), zero)),
-                        Eq(_m(y, star(x)), y),
-                    ),
-                ),
-            ),
-        ]
-        if profile == "stone":
-            conds.append(
-                (
-                    "iv",
-                    Forall(
-                        ("x", "y"),
-                        Eq(_j(_j(star(x), y), _j(star(star(x)), y)), star(zero)),
-                    ),
-                )
-            )
-        return tuple(conds)
-
-    if profile == "rpc":
-        one = Const(ONE)
-        r = lambda a, b: App(STAR, (a, b))
-        inner = _m(_m(x, z), _m(r(x, y), z))
-        return (
-            ("i", Forall(("x",), Eq(_m(x, one), x))),
-            ("ii", Forall(("x", "y", "z"), Eq(_m(inner, y), inner))),
-            (
-                "iii",
-                Forall(
-                    ("x", "y", "z"),
-                    Implies(
-                        Forall(
-                            ("t",),
-                            Eq(_m(_m(_m(x, t), _m(z, t)), y), _m(_m(x, t), _m(z, t))),
-                        ),
-                        Eq(_m(z, r(x, y)), z),
-                    ),
-                ),
-            ),
-        )
-
-    # sectional profiles
-    c = lambda a, b: App(CIRC, (a, b))
-    join_block = lambda v: _j(_j(x, v), _j(y, v))  # ranges over U(x,y) as v runs
-    conds = [
-        ("i", Forall(("x", "y"), Eq(_m(y, c(x, y)), y))),
-        (
-            "ii",
-            Forall(
-                ("x", "y", "z"),
-                Implies(
-                    Forall(
-                        ("t",),
-                        Eq(_m(_m(join_block(t), z), _m(c(x, y), z)), z),
-                    ),
-                    Eq(_m(z, y), z),
-                ),
-            ),
-        ),
-        (
-            "iii",
-            Forall(
-                ("x", "y", "z"),
-                Implies(
-                    Forall(
-                        ("s",),
-                        Iff(
-                            Forall(
-                                ("t",),
-                                Eq(_m(_m(join_block(t), s), _m(z, s)), s),
-                            ),
-                            Eq(_m(s, y), s),
-                        ),
-                    ),
-                    Eq(_m(z, c(x, y)), z),
-                ),
-            ),
-        ),
-    ]
-    if profile in ("spc1", "sspc"):
-        one = Const(ONE)
-        conds.append(("iv", Forall(("x",), Eq(_m(x, one), x))))
-    if profile == "sspc":
-        conds.append(("v", Forall(("x", "y"), Eq(_m(x, c(c(x, y), y)), x))))
-    return tuple(conds)
+    return _parsed(_CONDITIONS[profile])
 
 
 def verify_assigned_conditions(A: Algebra, profile: str) -> dict[str, Report]:
@@ -308,24 +230,12 @@ def verify_assigned_conditions(A: Algebra, profile: str) -> dict[str, Report]:
     return {name: check_formula(A, formula) for name, formula in conditions_for(profile)}
 
 
+@cache
 def derived_identities_for(profile: str) -> tuple[tuple[str, Formula], ...]:
     _signature(profile)  # rejects an unknown name
-    x, y = Var("x"), Var("y")
-    one = Const(ONE)
-    if profile == "rpc":
-        r = lambda a, b: App(STAR, (a, b))
-        return (
-            ("a", Forall(("x",), Eq(r(x, x), one))),
-            ("b", Forall(("x",), Eq(r(one, x), x))),
-            ("c", Forall(("x", "y"), Eq(_m(x, r(r(x, y), y)), x))),
-        )
-    if profile in ("spc1", "sspc"):
-        c = lambda a, b: App(CIRC, (a, b))
-        return (
-            ("a", Forall(("x",), Eq(c(x, x), one))),
-            ("b", Forall(("x",), Eq(c(one, x), x))),
-        )
-    raise MissingSymbol(f"profile {profile!r} has no derived identity set")
+    if profile not in _DERIVED_IDENTITIES:
+        raise MissingSymbol(f"profile {profile!r} has no derived identity set")
+    return _parsed(_DERIVED_IDENTITIES[profile])
 
 
 def verify_derived_identities(A: Algebra, profile: str) -> dict[str, Report]:
@@ -341,29 +251,27 @@ _AXIOM_CLASSES = {
     "lambda_lattice": (MEET, JOIN),
 }
 
+# each class's axioms, keyed by its symbols
+_AXIOMS = {
+    (MEET,): ("∀x: x⊓x = x", "∀x,y: x⊓y = y⊓x", "∀x,y,z: x⊓((x⊓y)⊓z) = (x⊓y)⊓z"),
+    (JOIN,): ("∀x: x⊔x = x", "∀x,y: x⊔y = y⊔x", "∀x,y,z: x⊔((x⊔y)⊔z) = (x⊔y)⊔z"),
+    (MEET, JOIN): (
+        "∀x,y: x⊔y = y⊔x",
+        "∀x,y: x⊓y = y⊓x",
+        "∀x,y,z: x⊔((x⊔y)⊔z) = (x⊔y)⊔z",
+        "∀x,y,z: x⊓((x⊓y)⊓z) = (x⊓y)⊓z",
+        "∀x,y: (x⊔y)⊓x = x",
+        "∀x,y: (x⊓y)⊔x = x",
+    ),
+}
 
+
+@cache
 def _axiom_set(sym_meet: str, sym_join: str | None = None) -> tuple[tuple[str, Formula], ...]:
     """The commutative directoid axioms of ``sym_meet``; with ``sym_join``,
-    the λ-lattice axioms of the pair.  Each is named by its rendering."""
-    x, y, z = Var("x"), Var("y"), Var("z")
-    m = lambda a, b: App(sym_meet, (a, b))
-    if sym_join is None:
-        axioms = [
-            Forall(("x",), Eq(m(x, x), x)),
-            Forall(("x", "y"), Eq(m(x, y), m(y, x))),
-            Forall(("x", "y", "z"), Eq(m(x, m(m(x, y), z)), m(m(x, y), z))),
-        ]
-    else:
-        j = lambda a, b: App(sym_join, (a, b))
-        axioms = [
-            Forall(("x", "y"), Eq(j(x, y), j(y, x))),
-            Forall(("x", "y"), Eq(m(x, y), m(y, x))),
-            Forall(("x", "y", "z"), Eq(j(x, j(j(x, y), z)), j(j(x, y), z))),
-            Forall(("x", "y", "z"), Eq(m(x, m(m(x, y), z)), m(m(x, y), z))),
-            Forall(("x", "y"), Eq(m(j(x, y), x), x)),
-            Forall(("x", "y"), Eq(j(m(x, y), x), x)),
-        ]
-    return tuple((render_formula(a), a) for a in axioms)
+    the λ-lattice axioms of the pair.  Each is named by its text."""
+    texts = _AXIOMS[(sym_meet,) if sym_join is None else (sym_meet, sym_join)]
+    return _parsed((text, text) for text in texts)
 
 
 def verify_axioms(A: Algebra, cls: str) -> dict[str, Report]:
@@ -418,7 +326,6 @@ def theorem_equivalence_audit(
     P: Poset,
     profile: str,
     budget: int = AUDIT_BUDGET,
-    seed: int = 20210,
 ) -> AuditReport:
     """Audit the iff between poset classification and the assigned conditions.
 
@@ -429,7 +336,7 @@ def theorem_equivalence_audit(
     first failing condition.  Non-directed posets admit no assignment and
     pass vacuously.  A space of at most ``budget`` assignments is checked
     whole; a larger one is sampled: exactly ``budget`` distinct indices drawn
-    by :func:`_sample_indices` from ``random.Random(seed)``, decoded and
+    by :func:`_sample_indices` from ``random.Random(AUDIT_SEED)``, decoded and
     checked in increasing order, so spaces of any size work.  A budget below
     1 raises :class:`OrdalgError`.
     """
@@ -449,7 +356,7 @@ def theorem_equivalence_audit(
     sampled = total > budget
     choices = space
     if sampled:
-        choices = map(space.decode, _sample_indices(random.Random(seed), total, budget))
+        choices = map(space.decode, _sample_indices(random.Random(AUDIT_SEED), total, budget))
     checked = 0
     divergences = []
     for choice in choices:

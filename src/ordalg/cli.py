@@ -67,7 +67,10 @@ def _witness_text(P, witness: dict | None) -> str:
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
+    """Print ``human`` line by line, or with ``--json`` the payload under the
+    schema version and the command name."""
     if args.json:
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:
         for line in human:
@@ -83,16 +86,14 @@ def _cmd_check(args) -> int:
     doc = _load(args.file)
     names = [args.name] if args.name else list(doc.posets)
     if not names:
-        print("error: no posets in file", file=sys.stderr)
-        return 2
+        raise OrdalgError("no posets in file")
     results = []
     lines = []
     ok = True
     for name in names:
         P = doc.posets.get(name)
         if P is None:
-            print(f"error: no poset named {name!r}", file=sys.stderr)
-            return 2
+            raise OrdalgError(f"no poset named {name!r}")
         if args.cls == "distributive":
             rep = is_distributive(P)
             holds = rep.holds
@@ -125,7 +126,7 @@ def _cmd_check(args) -> int:
             suffix += f"  [{note}]"
         lines.append(f"{name}: {args.cls}: {verdict}{suffix}")
         ok = ok and holds
-    _emit(args, {"schema": SCHEMA_VERSION, "command": "check", "results": results}, lines)
+    _emit(args, {"results": results}, lines)
     return 0 if ok else 1
 
 
@@ -197,11 +198,7 @@ def _cmd_assign(args) -> int:
                 verdict = "HOLDS" if rep.holds else "FAILS"
                 w = f"  {_witness_text(P, rep.witness)}" if rep.witness else ""
                 lines.append(f"# condition ({cname}): {verdict}{w}")
-    _emit(
-        args,
-        {"schema": SCHEMA_VERSION, "command": "assign", "algebras": emitted},
-        lines,
-    )
+    _emit(args, {"algebras": emitted}, lines)
     return 0
 
 
@@ -238,7 +235,7 @@ def _cmd_audit(args) -> int:
                 f"assignments={rep.assignments_checked}/{rep.assignments_total} {status}"
             )
             ok = ok and rep.holds
-    _emit(args, {"schema": SCHEMA_VERSION, "command": "audit", "reports": reports}, lines)
+    _emit(args, {"reports": reports}, lines)
     return 0 if ok else 1
 
 
@@ -254,8 +251,6 @@ def _cmd_con(args) -> int:
     aname, A = doc.the_algebra(args.name)
     lat = congruence_lattice(A)
     payload: dict = {
-        "schema": SCHEMA_VERSION,
-        "command": "con",
         "algebra": aname,
         "count": len(lat),
         "congruences": [
@@ -324,18 +319,11 @@ def _cmd_decompose(args) -> int:
     if result.indecomposable:
         _emit(
             args,
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "decompose",
-                "algebra": aname,
-                "indecomposable": True,
-            },
+            {"algebra": aname, "indecomposable": True},
             [f"# {aname}: directly indecomposable"],
         )
         return 0
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "decompose",
         "algebra": aname,
         "indecomposable": False,
         "left": result.left.to_json(),
@@ -364,11 +352,7 @@ def _cmd_product(args) -> int:
         )
     A = direct_product(A1, A2)
     name = f"{n1}_x_{n2}"
-    _emit(
-        args,
-        {"schema": SCHEMA_VERSION, "command": "product", "algebra": {"name": name, **A.to_json()}},
-        _with_order(name, A),
-    )
+    _emit(args, {"algebra": {"name": name, **A.to_json()}}, _with_order(name, A))
     return 0
 
 
@@ -386,8 +370,7 @@ def _cmd_search(args) -> int:
     try:
         lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n),) * 2
     except ValueError:
-        print(f"error: bad --n {args.n!r}", file=sys.stderr)
-        return 2
+        raise OrdalgError(f"bad --n {args.n!r}") from None
     pred = parse_predicate(args.where)
     mode = "random" if args.random else "exhaustive"
     spec = SearchSpec(lo, hi, pred, mode=mode, seed=args.seed or 0, count=args.random or 1000)
@@ -400,28 +383,22 @@ def _cmd_search(args) -> int:
         hits.append(P.to_json())
         lines.append(serialize_poset(f"hit{i}", P))
     lines.append(f"# {len(hits)} hit(s)")
-    _emit(
-        args,
-        {"schema": SCHEMA_VERSION, "command": "search", "hits": hits},
-        lines,
-    )
+    _emit(args, {"hits": hits}, lines)
     return 0
 
 
 def _cmd_fixtures(args) -> int:
     from .fixtures import FIXTURES_TEXT, fixtures
 
-    if args.json:
-        doc = fixtures()
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "fixtures",
-            "posets": {name: P.to_json() for name, P in doc.posets.items()},
-            "algebras": {name: A.to_json() for name, A in doc.algebras.items()},
-        }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-    else:
+    if not args.json:  # the text is the corpus itself: print it without parsing
         print(FIXTURES_TEXT, end="")
+        return 0
+    doc = fixtures()
+    payload = {
+        "posets": {name: P.to_json() for name, P in doc.posets.items()},
+        "algebras": {name: A.to_json() for name, A in doc.algebras.items()},
+    }
+    _emit(args, payload, [])
     return 0
 
 

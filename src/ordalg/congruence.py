@@ -24,8 +24,9 @@ distributivity is decided by the join-prime test on join-irreducibles.
 Permutability is a count of blocks, not a composition (``permutes``).
 
 One table, ``_SCHEMES``, maps each term-scheme report key to the symbols the
-scheme needs and its numbered identities; a profile lists its keys, and
-without one every key whose symbols the algebra has is checked.
+scheme needs and its numbered identities, written as they print; a profile
+lists its keys, and without one every key whose symbols the algebra has is
+checked.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 from .algebra import CIRC, JOIN, MEET, ONE, STAR, Algebra
 from .errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
 from .poset import bits
-from .terms import App, Const, Eq, Forall, Report, Var, check_formula, render_formula
+from .terms import Report, check_formula, parse_formula
 
 BRUTE_FORCE_GUARD = 12
 MAX_CONGRUENCES = 1024
@@ -457,56 +458,52 @@ def congruence_properties(
 # -- term schemes ------------------------------------------------------------------
 
 
-def majority_term(a, b, c):
-    return App(MEET, (App(MEET, (App(JOIN, (a, b)), App(JOIN, (b, c)))), App(JOIN, (c, a))))
+def _numbered(*texts: str) -> tuple:
+    """Each identity, parsed, under the name ``"<number>: <text>"``."""
+    return tuple((f"{k}: {text}", parse_formula(text)) for k, text in enumerate(texts, 1))
 
 
-def maltsev_term(sym: str, a, b, c):
-    i = lambda u, v: App(sym, (u, v))
-    return App(MEET, (i(i(a, b), c), i(i(c, b), a)))
-
-
-def _scheme_table() -> dict[str, tuple]:
-    """Report key -> (the symbols the scheme needs, its numbered identities),
-    in the order ``con --terms`` prints the schemes."""
-    x, y = Var("x"), Var("y")
-    one = Const(ONE)
-    m = majority_term
-    table = {
-        "majority": (
-            ((JOIN, 2), (MEET, 2)),
-            [Forall(("x", "y"), Eq(m(*args), x)) for args in ((x, x, y), (x, y, x), (y, x, x))],
-        )
-    }
-    for sym in (STAR, CIRC):
-        p = lambda a, b, c: maltsev_term(sym, a, b, c)
-        table[f"maltsev({sym})"] = (
-            ((sym, 2), (MEET, 2)),
-            [Forall(("x", "y"), Eq(p(*args), y)) for args in ((x, x, y), (y, x, x))],
-        )
-        # a two-step chain witnessing weak regularity with respect to the constant 1
-        i = lambda a, b: App(sym, (a, b))
-        t1 = lambda a, b: i(a, b)
-        t2 = lambda a, b: i(b, a)
-        s1 = lambda a, b, c, d: App(MEET, (i(a, d), c))
-        s2 = lambda a, b, c, d: App(MEET, (i(b, c), d))
-        table[f"weak_regularity({sym})"] = (
-            ((sym, 2), (MEET, 2), (ONE, 0)),
-            (
-                Forall(("x",), Eq(t1(x, x), one)),
-                Forall(("x",), Eq(t2(x, x), one)),
-                Forall(("x", "y"), Eq(s1(t1(x, y), one, x, y), x)),
-                Forall(("x", "y"), Eq(s1(one, t1(x, y), x, y), s2(t2(x, y), one, x, y))),
-                Forall(("x", "y"), Eq(s2(one, t2(x, y), x, y), y)),
-            ),
-        )
-    return {
-        key: (needs, tuple((f"{k}: {render_formula(f)}", f) for k, f in enumerate(fs, 1)))
-        for key, (needs, fs) in table.items()
-    }
-
-
-_SCHEMES = _scheme_table()
+# report key -> (the symbols the scheme needs, its numbered identities), in
+# the order ``con --terms`` prints the schemes; each weak_regularity scheme is
+# a two-step chain witnessing weak regularity with respect to the constant 1
+_SCHEMES = {
+    "majority": (
+        ((JOIN, 2), (MEET, 2)),
+        _numbered(
+            "∀x,y: ((x⊔x)⊓(x⊔y))⊓(y⊔x) = x",
+            "∀x,y: ((x⊔y)⊓(y⊔x))⊓(x⊔x) = x",
+            "∀x,y: ((y⊔x)⊓(x⊔x))⊓(x⊔y) = x",
+        ),
+    ),
+    "maltsev(*)": (
+        ((STAR, 2), (MEET, 2)),
+        _numbered("∀x,y: ((x*x)*y)⊓((y*x)*x) = y", "∀x,y: ((y*x)*x)⊓((x*x)*y) = y"),
+    ),
+    "weak_regularity(*)": (
+        ((STAR, 2), (MEET, 2), (ONE, 0)),
+        _numbered(
+            "∀x: x*x = 1",
+            "∀x: x*x = 1",
+            "∀x,y: ((x*y)*y)⊓x = x",
+            "∀x,y: (1*y)⊓x = (1*x)⊓y",
+            "∀x,y: ((y*x)*x)⊓y = y",
+        ),
+    ),
+    "maltsev(∘)": (
+        ((CIRC, 2), (MEET, 2)),
+        _numbered("∀x,y: ((x∘x)∘y)⊓((y∘x)∘x) = y", "∀x,y: ((y∘x)∘x)⊓((x∘x)∘y) = y"),
+    ),
+    "weak_regularity(∘)": (
+        ((CIRC, 2), (MEET, 2), (ONE, 0)),
+        _numbered(
+            "∀x: x∘x = 1",
+            "∀x: x∘x = 1",
+            "∀x,y: ((x∘y)∘y)⊓x = x",
+            "∀x,y: (1∘y)⊓x = (1∘x)⊓y",
+            "∀x,y: ((y∘x)∘x)⊓y = y",
+        ),
+    ),
+}
 
 _PROFILE_SCHEMES: dict[str, tuple[str, ...]] = {
     "pc": (),

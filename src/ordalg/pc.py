@@ -88,18 +88,8 @@ def _rpc_candidates(P: Poset, x: int, y: int) -> int:
     return cand
 
 
-def _spc_candidates(P: Poset, x: int, y: int) -> int:
-    """The z with L(U(x,y),z) = L(y)."""
-    lu = P.lower_mask(P.up[x] & P.up[y])
-    cand = 0
-    for z in range(P.n):
-        if lu & P.down[z] == P.down[y]:
-            cand |= 1 << z
-    return cand
-
-
 def _spc_scanner(P: Poset) -> Callable[[int, int], int]:
-    """:func:`_spc_candidates` for the cells of one scan.
+    """The z with L(U(x,y),z) = L(y), for the cells of one scan.
 
     z runs over ↑y only, and L(U(x,y)) is computed once for each mask
     ↑x ∩ ↑y the scan meets.
@@ -189,7 +179,7 @@ def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
 
 def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     """The greatest z with L(U(x,y),z) = L(y); x itself on an absent diagonal."""
-    z = P.maximum_of(_spc_candidates(P, x, y))
+    z = P.maximum_of(_spc_scanner(P)(x, y))
     return x if z is None and x == y else z
 
 

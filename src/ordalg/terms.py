@@ -1,10 +1,12 @@
 """Terms, quantified formulas, and the exhaustive model checker.
 
-The formula language is deliberately a small fixed AST rather than a general
-first-order parser: universally quantified equations, implications whose
-premise is itself a quantified block, and the one biconditional-premise shape
-needed for the nested sectional characterization.  That keeps the checker
-total and auditable.
+The formula language is a small fixed AST, and it stays so: universally
+quantified equations, implications whose premise is itself a quantified
+block, and the one biconditional-premise shape needed for the nested
+sectional characterization.  That keeps the checker total and auditable.
+:func:`render_formula` prints a formula in the paper's notation, and
+:func:`parse_formula` is its exact inverse: it reads what the renderer
+prints and nothing more, so every formula set is written as it prints.
 
 :func:`check_formula` makes one walk over the formula: :func:`_compile_node`
 rejects what cannot be evaluated (unbound or re-bound variables, symbols
@@ -26,6 +28,7 @@ axioms are in :mod:`assign`, the term schemes in :mod:`congruence`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -111,7 +114,7 @@ class Report:
             raise ValueError("a failing report must carry a witness")
 
 
-# -- rendering ---------------------------------------------------------------
+# -- rendering and parsing ---------------------------------------------------
 
 
 def render_term(t: Term) -> str:
@@ -145,6 +148,95 @@ def render_formula(f: Node) -> str:
     if isinstance(f, Iff):
         return f"[{render_formula(f.lhs)}] ⇔ [{render_formula(f.rhs)}]"
     raise TypeError(f"not a formula node: {f!r}")
+
+
+_OPERATIONS = frozenset("⊓⊔*∘")
+_TOKEN = re.compile(r"\w+|\S")
+
+
+def parse_formula(text: str) -> Formula:
+    """The formula that :func:`render_formula` prints as ``text``.
+
+    ``0`` and ``1`` are constants and every other word is a variable.  A
+    binary ``⊓``, ``⊔``, ``*`` or ``∘`` takes the parentheses the renderer
+    prints, and an operation symbol with no operand after it is a postfix
+    unary one, so ``x**y`` is ``(x*)*y`` and ``x*y*`` is ``x*(y*)``.
+    Raises ``ValueError`` naming the text unless it is a top-level ``∀``
+    block that re-renders as itself.
+    """
+    tokens = _TOKEN.findall(text)
+    pos = 0
+
+    def peek(ahead: int = 0) -> str:
+        return tokens[pos + ahead] if pos + ahead < len(tokens) else ""
+
+    def fail(expected: str):
+        found = f"{peek()!r} at token {pos + 1}" if peek() else "the end"
+        raise ValueError(f"cannot parse formula {text!r}: expected {expected}, found {found}")
+
+    def advance() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def skip(token: str) -> bool:
+        return peek() == token and bool(advance())
+
+    def take(token: str) -> None:
+        if not skip(token):
+            fail(repr(token))
+
+    def word() -> str:
+        if not peek()[:1].isalnum():
+            fail("a variable or constant")
+        return advance()
+
+    def operand() -> Term:
+        if skip("("):
+            t = term()
+            take(")")
+        else:
+            name = word()
+            t = Const(name) if name in ("0", "1") else Var(name)
+        if peek() in _OPERATIONS and not (peek(1) == "(" or peek(1)[:1].isalnum()):
+            t = App(advance(), (t,))
+        return t
+
+    def term() -> Term:
+        t = operand()
+        if peek() in _OPERATIONS:
+            t = App(advance(), (t, operand()))
+        return t
+
+    def node() -> Node:
+        if skip("∀"):
+            names = [word()]
+            while skip(","):
+                names.append(word())
+            take(":")
+            return Forall(tuple(names), node())
+        if skip("["):
+            lhs = node()
+            take("]")
+            if skip("⇔"):
+                take("[")
+                rhs = node()
+                take("]")
+                return Iff(lhs, rhs)
+            take("⇒")
+            return Implies(lhs, node())
+        lhs = term()
+        take("=")
+        return Eq(lhs, term())
+
+    if peek() != "∀":
+        fail("a top-level '∀'")
+    f = node()
+    if peek():
+        fail("the end")
+    if render_formula(f) != text:
+        raise ValueError(f"cannot parse formula {text!r}: it renders as {render_formula(f)!r}")
+    return f
 
 
 # -- slow path: public term evaluation and witness re-evaluation -------------

@@ -17,7 +17,7 @@ from ordalg import (
 )
 from ordalg import pc
 from ordalg.errors import NoBottom
-from ordalg.pc import _spc_candidates, best_effort_table
+from ordalg.pc import _spc_scanner, best_effort_table
 from ordalg.poset import Poset
 
 
@@ -148,7 +148,8 @@ def test_spc_tables_match_fixtures(figs, fig4, fig5):
     assert classify(fig5, "spc").table == figs.algebras["fig5_spc"].table("∘")
     assert classify(fig4, "spc").table == figs.algebras["fig4_spc"].table("∘")
     # no fallback fires on fig5 (it has a top)
-    assert all(fig5.maximum_of(_spc_candidates(fig5, x, x)) is not None for x in range(fig5.n))
+    spc = _spc_scanner(fig5)
+    assert all(fig5.maximum_of(spc(x, x)) is not None for x in range(fig5.n))
 
 
 def test_spc_fig4_second_projection(fig4):
@@ -163,8 +164,9 @@ def test_spc_fig4_diagonal_fallback_is_flagged(fig4):
     assert "diagonal fallback" in cls.note
     # without the fallback the two non-maximal diagonal entries are absent
     a, b = idx(fig4, "a", "b")
-    assert fig4.maximum_of(_spc_candidates(fig4, a, a)) is None
-    assert fig4.maximum_of(_spc_candidates(fig4, b, b)) is None
+    spc = _spc_scanner(fig4)
+    assert fig4.maximum_of(spc(a, a)) is None
+    assert fig4.maximum_of(spc(b, b)) is None
     assert sectional_pseudocomplement(fig4, a, a) == a
 
 

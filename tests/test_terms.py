@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import meet_directoid, posets
-from ordalg import Algebra, PROFILES, assign_algebra, fixtures, pc
+from ordalg import Algebra, PROFILES, assign, assign_algebra, fixtures, pc
 from ordalg.algebra import JOIN, MEET
 from ordalg.assign import (
     _axiom_set,
@@ -39,6 +39,7 @@ from ordalg.terms import (
     check_formula,
     eval_term,
     evaluate_at,
+    parse_formula,
     render_formula,
     render_term,
 )
@@ -178,6 +179,74 @@ def test_render():
     assert render_term(star(m(X, Y))) == "(x⊓y)*"
     f = Forall(("x",), Eq(m(X, X), X))
     assert render_formula(f) == "∀x: x⊓x = x"
+
+
+# -- parsing: the exact inverse of render_formula -----------------------------------
+
+
+def _table_texts():
+    """Every formula text of the condition, identity, axiom and scheme tables."""
+    for table in (assign._CONDITIONS, assign._DERIVED_IDENTITIES):
+        for named in table.values():
+            yield from (text for _, text in named)
+    for texts in assign._AXIOMS.values():
+        yield from texts
+    for _, identities in _SCHEMES.values():
+        yield from (name.split(": ", 1)[1] for name, _ in identities)
+
+
+@pytest.mark.parametrize("text", sorted(set(_table_texts())))
+def test_every_table_text_round_trips(text):
+    assert render_formula(parse_formula(text)) == text
+
+
+def test_parse_reads_postfix_and_binary_star():
+    assert parse_formula("∀x,y: x**y = x*y*") == Forall(
+        ("x", "y"),
+        Eq(App("*", (star(X), Y)), App("*", (X, star(Y)))),
+    )
+    assert parse_formula("∀x: (x⊓0)* = 1") == Forall(
+        ("x",), Eq(star(m(X, Const("0"))), Const("1"))
+    )
+
+
+_TERMS = st.recursive(
+    st.sampled_from("xyzst").map(Var) | st.sampled_from("01").map(Const),
+    lambda sub: st.builds(lambda op, a, b: App(op, (a, b)), st.sampled_from("⊓⊔*∘"), sub, sub)
+    | sub.map(star),
+    max_leaves=8,
+)
+_VARS = st.lists(st.sampled_from("xyzst"), min_size=1, max_size=3).map(tuple)
+_NODES = st.recursive(
+    st.builds(Eq, _TERMS, _TERMS),
+    lambda sub: st.builds(Forall, _VARS, sub)
+    | st.builds(Implies, sub, sub)
+    | st.builds(Iff, sub, sub),
+    max_leaves=4,
+)
+
+
+@given(st.builds(Forall, _VARS, _NODES))
+@settings(max_examples=300)
+def test_parse_inverts_render(f):
+    assert parse_formula(render_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "∀x: x⊓x⊓x = x",  # a chain the renderer would parenthesize
+        "∀x,y: [∀z: x⊓z = 0 ⇒ y = y",  # unclosed [
+        "∀x: x = x x",  # trailing token
+        "∀x: x+x = x",  # unknown symbol
+        "x⊓y = y⊓x",  # no top-level ∀
+        "∀x: (x*) = x",  # parentheses the renderer does not print
+    ],
+)
+def test_parse_rejects_what_render_does_not_print(text):
+    with pytest.raises(ValueError) as info:
+        parse_formula(text)
+    assert repr(text) in str(info.value)
 
 
 @given(posets(max_n=5), st.integers(0, 10**6))
