@@ -12,13 +12,13 @@ bottom and ``1`` the top.
 
 The cone choices behind the ``⊓`` and ``⊔`` tables (:class:`ChoiceSpace`,
 :func:`table_from_choice` and the override rule) live in :mod:`algebra`,
-beside :func:`~ordalg.algebra.induced_order`, their inverse; this module
-keeps their names bound.  A choice given to :func:`assign_algebra` (or by
-``--choice`` or a DSL ``choice`` line) overrides the canonical one on the
-pairs it names, and every other incomparable pair takes the canonical
-element.  Each profile has the quantified conditions that characterize its
-poset class (:func:`conditions_for`), and some have derived identities that
-must then follow (:func:`derived_identities_for`).  The axioms of
+beside :func:`~ordalg.algebra.induced_order`, their inverse.  A choice given
+to :func:`assign_algebra` (or by ``--choice`` or a DSL ``choice`` line)
+overrides the canonical one on the pairs it names, and every other
+incomparable pair takes the canonical element.  Each profile has the
+quantified conditions that characterize its poset class
+(:func:`conditions_for`), and some have derived identities that must then
+follow (:func:`derived_identities_for`).  The axioms of
 commutative meet and join directoids and of λ-lattices, which every
 assignment satisfies, are checked by :func:`verify_axioms`.  Each of these
 formula sets is a table of the text :func:`~ordalg.terms.render_formula`
@@ -33,8 +33,6 @@ from functools import cache
 from typing import Iterator
 
 from . import pc
-# The choice names stay bound here too: callers import them from this module,
-# and perfbench/trace_job.py wraps ``assign.enumerate_choices``.
 from .algebra import (
     JOIN,
     MEET,
@@ -45,9 +43,7 @@ from .algebra import (
     ChoiceSpace,
     Signature,
     _override_choice,
-    canonical_choice,
     enumerate_choices,
-    incomparable_pairs,
     table_from_choice,
 )
 from .errors import (
@@ -79,24 +75,20 @@ def _choice_kind(profile: str) -> str:
 # -- assigned algebras -----------------------------------------------------------
 
 
-def _constant_values(P: Poset, profile: str, best_effort: bool) -> dict[str, int]:
-    """``0`` is the bottom and ``1`` the top; with ``best_effort`` a missing
-    one is the first minimal or maximal element instead."""
+def _constant_values(P: Poset, profile: str) -> dict[str, int]:
+    """``0`` is the bottom and ``1`` the top, or the first maximal element
+    when there is none.
+
+    Only an rpc audit outside the class meets a missing one.  A profile
+    with ``0`` needs meet choices, which a finite poset has only when it has
+    a bottom; spc1 and sspc need join choices, hence a top; and an rpc poset
+    in its class has a top, x*x.
+    """
     bottom, top = extremes(P)
-    values: dict[str, int] = {}
-    for sym, arity in _signature(profile).symbols:
-        if arity:
-            continue
-        role, v = ("bottom", bottom) if sym == ZERO else ("top", top)
-        if v is None:
-            if not best_effort:
-                raise MissingStructure(f"poset has no {role} element for constant {sym}")
-            if role == "top":
-                v = min(x for x in range(P.n) if P.up[x] == 1 << x)
-            else:
-                v = min(x for x in range(P.n) if P.down[x] == 1 << x)
-        values[sym] = v
-    return values
+    if top is None:
+        top = P.maximal_of(P.full)[0]
+    symbols = _signature(profile).symbols
+    return {sym: bottom if sym == ZERO else top for sym, arity in symbols if not arity}
 
 
 def _build(P: Poset, profile: str, choice, op_table, constants: dict[str, int]) -> Algebra:
@@ -138,7 +130,7 @@ def assign_algebra(
     meet = _override_choice(P, "meet", meet)
     choice = (meet, _override_choice(P, "join", join)) if lam else meet
     table = _class_table(P, profile)
-    return _build(P, profile, choice, table, _constant_values(P, profile, False))
+    return _build(P, profile, choice, table, _constant_values(P, profile))
 
 
 def enumerate_assignments(P: Poset, profile: str) -> tuple[ChoiceSpace, Iterator[Algebra]]:
@@ -153,7 +145,7 @@ def enumerate_assignments(P: Poset, profile: str) -> tuple[ChoiceSpace, Iterator
 
     def algebras() -> Iterator[Algebra]:
         table = _class_table(P, profile)
-        constants = _constant_values(P, profile, False)
+        constants = _constant_values(P, profile)
         for choice in space:
             yield _build(P, profile, choice, table, constants)
 
@@ -330,9 +322,11 @@ def theorem_equivalence_audit(
     """Audit the iff between poset classification and the assigned conditions.
 
     When the class holds, the derived operation is the computed one and every
-    assignment must satisfy all conditions; when it fails, a best-effort table
-    (greatest-or-first-maximal entries, same for constants) must violate some
-    condition on every assignment.  An assignment's verdict stops at its
+    assignment must satisfy all conditions; when it fails, some condition
+    must fail on every assignment.  The table is then the class's table when
+    the scan finished (only the class's own check failed), and otherwise the
+    best-effort table (greatest-or-first-maximal entries); the constants are
+    those of :func:`_constant_values`.  An assignment's verdict stops at its
     first failing condition.  Non-directed posets admit no assignment and
     pass vacuously.  A space of at most ``budget`` assignments is checked
     whole; a larger one is sampled: exactly ``budget`` distinct indices drawn
@@ -349,8 +343,8 @@ def theorem_equivalence_audit(
     except NotDirected as e:
         return AuditReport(profile, cls.holds, 0, 0, False, (), f"no assignments exist: {e}")
 
-    table = cls.table if cls.holds else pc.best_effort_table(P, profile)
-    constants = _constant_values(P, profile, best_effort=not cls.holds)
+    table = cls.table if cls.table is not None else pc.best_effort_table(P, profile)
+    constants = _constant_values(P, profile)
     conditions = [formula for _, formula in conditions_for(profile)]
     total = space.count
     sampled = total > budget

@@ -372,8 +372,7 @@ def _cmd_search(args) -> int:
     except ValueError:
         raise OrdalgError(f"bad --n {args.n!r}") from None
     pred = parse_predicate(args.where)
-    mode = "random" if args.random else "exhaustive"
-    spec = SearchSpec(lo, hi, pred, mode=mode, seed=args.seed or 0, count=args.random or 1000)
+    spec = SearchSpec(lo, hi, pred, seed=args.seed or 0, count=args.random)
     hits = []
     lines = []
     for i, P in enumerate(search(spec)):

@@ -113,31 +113,23 @@ def _spc_scanner(P: Poset) -> Callable[[int, int], int]:
     return cell
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """Outcome of one row-major pass over an operation's cells."""
-
-    table: tuple | None
-    witness: dict | None = None
-    fallback: tuple[int, ...] = ()  # x of each sectional (x, x) that fell back to x
-
-
-def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
-    """Visit every cell of ``op`` ("pc", "rpc" or "spc") once, in row-major order.
+def _scan(P: Poset, op: str, best_effort: bool = False) -> tuple:
+    """Visit every cell of ``op`` ("pc", "rpc" or "spc") once, in row-major
+    order; ``(table, witness, fallback)``.
 
     A cell whose candidates have a maximum takes it.  An absent sectional
-    diagonal cell (x, x) takes x.  Any other absent cell ends the scan with
-    that cell and its maximal candidates as the witness; with
-    ``best_effort`` it takes the first maximal candidate instead (y when
-    there is none), so the table is always total.
+    diagonal cell (x, x) takes x, and ``fallback`` lists those x.  Any other
+    absent cell ends the scan with that cell and its maximal candidates as
+    the witness; with ``best_effort`` it takes the first maximal candidate
+    instead.  No candidate set is empty: the bottom is a pseudocomplement
+    candidate of every x, and y a relative and a sectional candidate of every
+    (x, y).  A bottomless poset has no pseudocomplement table either way.
     """
     n = P.n
     if op == "pc":
         bottom, _ = extremes(P)
         if bottom is None:
-            if best_effort:
-                return _Scan((0,) * n)
-            return _Scan(None, {"reason": "no bottom element"})
+            return None, {"reason": "no bottom element"}, ()
         cells = [(x,) for x in range(n)]
         candidates = lambda x: _pc_candidates(P, x, bottom)
     else:
@@ -154,14 +146,12 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> _Scan:
             entries.append(cell[0])
             fallback.append(cell[0])
         elif best_effort:
-            maximal = P.maximal_of(cand)
-            entries.append(maximal[0] if maximal else cell[-1])
+            entries.append(P.maximal_of(cand)[0])
         else:
-            return _Scan(None, dict(zip("xy", cell), maximal=P.maximal_of(cand)))
+            return None, dict(zip("xy", cell), maximal=P.maximal_of(cand)), ()
     if op == "pc":
-        return _Scan(tuple(entries))
-    rows = tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n))
-    return _Scan(rows, None, tuple(fallback))
+        return tuple(entries), None, ()
+    return tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)), None, tuple(fallback)
 
 
 def pseudocomplement(P: Poset, x: int) -> int | None:
@@ -183,14 +173,15 @@ def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     return x if z is None and x == y else z
 
 
-def best_effort_table(P: Poset, kind: str) -> tuple:
+def best_effort_table(P: Poset, kind: str) -> tuple | None:
     """The table of the class's operation with absent entries filled in.
 
-    Each absent entry takes the first maximal candidate (see :func:`_scan`),
-    so the table is always total; audits use it to exercise the failing
-    direction of a characterization.
+    Each absent entry takes the first maximal candidate (see :func:`_scan`);
+    the table is total except for the pseudocomplement of a bottomless
+    poset, which is None.  Audits use it to exercise the failing direction of
+    a characterization, always on a poset with a bottom.
     """
-    return _scan(P, _CLASSES[canonical_kind(kind)][1], best_effort=True).table
+    return _scan(P, _CLASSES[canonical_kind(kind)][1], best_effort=True)[0]
 
 
 # -- classification -------------------------------------------------------------
@@ -204,10 +195,9 @@ def classify(P: Poset, kind: str) -> PcClassification:
     (or ``applicable=False`` where the class's own statement needs a top).
     """
     kind = canonical_kind(kind)
-    scan = _scan(P, _CLASSES[kind][1])
-    table = scan.table
+    table, witness, fallback = _scan(P, _CLASSES[kind][1])
     if table is None:
-        return PcClassification(kind, False, witness=scan.witness)
+        return PcClassification(kind, False, witness=witness)
     bottom, top = extremes(P)
 
     if kind == "stone":
@@ -234,9 +224,9 @@ def classify(P: Poset, kind: str) -> PcClassification:
                         kind, False, table=table, witness={"x": x, "y": y, "(x∘y)∘y": v}
                     )
     note = ""
-    if scan.fallback:
+    if fallback:
         note = "diagonal fallback (least candidate) at: " + ", ".join(
-            P.labels[x] for x in scan.fallback
+            P.labels[x] for x in fallback
         )
     return PcClassification(kind, True, table=table, note=note)
 

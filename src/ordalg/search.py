@@ -1,9 +1,11 @@
 """Counterexample / example search over small posets.
 
 Predicates are conjunctions of possibly negated classification atoms
-(``spc1 and not sspc``).  Exhaustive mode walks the nonisomorphic posets in
-a size range (guarded at n <= 7, where there are 2045 of them); random mode
-samples transitive closures of seeded random DAGs.  Every hit is re-validated
+(``spc1 and not sspc``).  A search with ``count`` 0 walks the nonisomorphic
+posets in a size range (guarded at n <= 7, where there are 2045 of them);
+one with ``count`` > 0 samples that many transitive closures of seeded random
+DAGs.  A finite poset is directed exactly when it has a bottom and a top, so
+the ``directed`` atom is the ``bounded`` one.  Every hit is re-validated
 through a serialize → parse → re-classify round trip before it is yielded, so
 the search fast path cannot emit a false positive; sizes therefore stop at
 ``MAX_CARRIER``, the largest carrier the DSL parses.
@@ -19,18 +21,23 @@ from . import pc
 from .dsl import parse, serialize_poset
 from .enumeration import all_posets, random_poset
 from .errors import OrdalgError
-from .poset import MAX_CARRIER, Poset, directedness, extremes, is_distributive, is_lattice
+from .poset import MAX_CARRIER, Poset, extremes, is_distributive, is_lattice
 
 EXHAUSTIVE_GUARD = 7
+
+
+def _bounded(P: Poset) -> bool:
+    return None not in extremes(P)
+
 
 _ATOMS: dict[str, Callable[[Poset], bool]] = {
     **{kind: (lambda P, kind=kind: pc.classify(P, kind).holds) for kind in pc.KINDS},
     "distributive": lambda P: is_distributive(P).holds,
     "lattice": is_lattice,
-    "bounded": lambda P: None not in extremes(P),
+    "bounded": _bounded,
     "bottom": lambda P: extremes(P)[0] is not None,
     "top": lambda P: extremes(P)[1] is not None,
-    "directed": lambda P: directedness(P).kind == "both",
+    "directed": _bounded,
 }
 
 _ATOM_ALIASES = pc._ALIASES
@@ -82,19 +89,21 @@ def evaluate_predicate(pred: Predicate, P: Poset) -> bool:
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """Sizes ``n_min..n_max`` and a predicate.  ``count`` 0 walks every poset
+    of those sizes; ``count`` > 0 draws that many at random from ``seed``."""
+
     n_min: int
     n_max: int
     predicate: Predicate
-    mode: str = "exhaustive"  # or "random"
     seed: int = 0
-    count: int = 1000
+    count: int = 0
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_min > self.n_max:
             raise OrdalgError("invalid size range")
-        if self.mode not in ("exhaustive", "random"):
-            raise OrdalgError("mode must be 'exhaustive' or 'random'")
-        if self.mode == "exhaustive" and self.n_max > EXHAUSTIVE_GUARD:
+        if self.count < 0:
+            raise OrdalgError(f"count must be at least 0, got {self.count}")
+        if not self.count and self.n_max > EXHAUSTIVE_GUARD:
             raise OrdalgError(
                 f"exhaustive search guarded at n <= {EXHAUSTIVE_GUARD}"
             )
@@ -111,17 +120,14 @@ def _revalidate(P: Poset, pred: Predicate) -> None:
 
 def search(spec: SearchSpec) -> Iterator[Poset]:
     """Stream posets satisfying the predicate; every hit is re-validated."""
-    if spec.mode == "exhaustive":
-        for n in range(spec.n_min, spec.n_max + 1):
-            for P in all_posets(n):
-                if evaluate_predicate(spec.predicate, P):
-                    _revalidate(P, spec.predicate)
-                    yield P
-    else:
+    if spec.count:
         rng = random.Random(spec.seed)
-        for _ in range(spec.count):
-            n = rng.randint(spec.n_min, spec.n_max)
-            P = random_poset(rng, n)
-            if evaluate_predicate(spec.predicate, P):
-                _revalidate(P, spec.predicate)
-                yield P
+        sizes = (rng.randint(spec.n_min, spec.n_max) for _ in range(spec.count))
+        candidates = (random_poset(rng, n) for n in sizes)
+    else:
+        sizes = range(spec.n_min, spec.n_max + 1)
+        candidates = (P for n in sizes for P in all_posets(n))
+    for P in candidates:
+        if evaluate_predicate(spec.predicate, P):
+            _revalidate(P, spec.predicate)
+            yield P

@@ -18,8 +18,7 @@ from string import ascii_lowercase
 from hypothesis import strategies as st
 
 from ordalg import Poset, build_poset
-from ordalg.algebra import JOIN, MEET, Algebra
-from ordalg.assign import canonical_choice, table_from_choice
+from ordalg.algebra import JOIN, MEET, Algebra, canonical_choice, table_from_choice
 from ordalg.congruence import Congruence, all_congruences_bruteforce, join2, meet2
 from ordalg.enumeration import default_labels
 from ordalg.poset import (
@@ -91,7 +90,7 @@ def raw_scan(P: Poset, op: str):
 
     ``entries`` is the best-effort table in row-major order: the greatest
     candidate, else x on a sectional diagonal, else the first maximal
-    candidate by index (y when there is none).  ``absent`` lists the cells
+    candidate by index; no candidate set is empty.  ``absent`` lists the cells
     with no greatest candidate and no diagonal fallback, each with its
     maximal candidates, as a classification witness; ``fallback`` lists the
     x whose sectional (x, x) fell back to x.
@@ -101,6 +100,7 @@ def raw_scan(P: Poset, op: str):
         return None
     entries, absent, fallback = [], [], []
     for cell, cand in cells:
+        assert cand, f"{op} cell {cell} has no candidate"
         greatest, maximal = raw_greatest(P, cand), raw_maximal(P, cand)
         if greatest is not None:
             entries.append(greatest)
@@ -109,7 +109,7 @@ def raw_scan(P: Poset, op: str):
             fallback.append(cell[0])
         else:
             absent.append(dict(zip("xy", cell), maximal=tuple(maximal)))
-            entries.append(maximal[0] if maximal else cell[-1])
+            entries.append(maximal[0])
     return entries, absent, fallback
 
 

@@ -33,7 +33,7 @@ from ordalg import (
 )
 from ordalg import congruence, pc
 from ordalg.algebra import JOIN, MEET, ONE, STAR, ZERO
-from ordalg.assign import ChoiceSpace, _sample_indices, enumerate_assignments
+from ordalg.assign import ChoiceSpace, _constant_values, _sample_indices, enumerate_assignments
 from ordalg.errors import (
     InvalidChoice,
     MissingStructure,
@@ -172,6 +172,38 @@ def test_assign_not_directed_before_class(fig4, profile):
 def test_assign_missing_structure(fig5):
     with pytest.raises(MissingStructure):
         assign_algebra(fig5, "rpc")
+
+
+def test_in_class_constants_are_the_bounds():
+    # 0 is the bottom and 1 the top of every in-class assigned algebra: the
+    # choices or the class itself force both to exist
+    seen = set()
+    for n in range(1, 7):
+        for P in all_posets(n):
+            bottom, top = extremes(P)
+            for profile, signature in PROFILES.items():
+                if not classify(P, profile).holds:
+                    continue
+                try:
+                    A = assign_algebra(P, profile)
+                except NotDirected:
+                    continue
+                if signature.has(ZERO, 0):
+                    assert bottom is not None and A.constant(ZERO) == bottom
+                    seen.add((profile, ZERO))
+                if signature.has(ONE, 0):
+                    assert top is not None and A.constant(ONE) == top
+                    seen.add((profile, ONE))
+    assert seen == {
+        ("pc", ZERO), ("stone", ZERO), ("rpc", ONE), ("spc1", ONE), ("sspc", ONE)
+    }
+
+
+def test_rpc_audit_constant_without_top():
+    # outside its class, a topless rpc audit takes the first maximal element
+    P = build_poset(["0", "a", "b"], [("0", "a"), ("0", "b")])
+    assert not classify(P, "rpc").holds
+    assert _constant_values(P, "rpc") == {ONE: P.index("a")}
 
 
 def test_assign_singleton_rpc():

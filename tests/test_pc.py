@@ -202,7 +202,7 @@ def _reverify_tables(P, ops=("pc", "rpc", "spc")):
         scan = raw_scan(P, op)
         if scan is None:
             assert cls.witness == {"reason": "no bottom element"}
-            assert cls.table is None and best == (0,) * P.n
+            assert cls.table is None and best is None
             continue
         expected, absent, fallback = scan
         flat = best if op == "pc" else [v for row in best for v in row]
@@ -265,6 +265,36 @@ def test_classification_is_one_pass(fig1, fig5, monkeypatch):
     best_effort_table(fig5, "spc")
     assert calls == ["scanner", *product(range(fig5.n), repeat=2)]
     assert sorted(masks) == sorted(distinct)
+
+
+def test_candidate_sets_are_never_empty():
+    # the bottom is a pseudocomplement candidate of every x, and y a relative
+    # and a sectional candidate of every (x, y): a best-effort entry always
+    # has a maximal candidate to take
+    for n in range(1, 8):
+        for P in all_posets(n):
+            bottom, _ = extremes(P)
+            spc = _spc_scanner(P)
+            for x in range(P.n):
+                if bottom is not None:
+                    assert pc._pc_candidates(P, x, bottom) >> bottom & 1
+                for y in range(P.n):
+                    assert pc._rpc_candidates(P, x, y) >> y & 1
+                    assert spc(x, y) >> y & 1
+
+
+def test_best_effort_table_is_the_finished_scan():
+    # when only the class's own check fails (stone, spc1, sspc) the scan has
+    # finished, and the best-effort table is the classification's table
+    kinds = set()
+    for n in range(1, 7):
+        for P in all_posets(n):
+            for kind in pc.KINDS:
+                cls = classify(P, kind)
+                if not cls.holds and cls.table is not None:
+                    kinds.add(kind)
+                    assert best_effort_table(P, kind) == cls.table
+    assert kinds == {"stone", "sectionally_pc_with_1", "strongly_sectionally_pc"}
 
 
 def test_maximum_of_distinguishes_maximal(fig4):

@@ -328,7 +328,7 @@ def _assigned_algebras(profile):
                 continue
             cls = pc.classify(P, profile)
             table = cls.table if cls.holds else pc.best_effort_table(P, profile)
-            constants = _constant_values(P, profile, best_effort=not cls.holds)
+            constants = _constant_values(P, profile)
             A = _build(P, profile, space.decode(0), table, constants)
             yield A
             yield _scrambled(A, rng)
