@@ -1,20 +1,26 @@
-"""Congruences of finite algebras, the congruence lattice, and term schemes.
+"""Congruences of finite algebras and the congruence lattice.
 
 A partition is always a :class:`Congruence`, canonicalized as a block-leader
 tuple (every element maps to the least element of its block), so congruence
 equality is plain tuple equality; ``Congruence.from_blocks`` builds one from
 a block list.
 
-One union-find, ``_close``, serves every closure: a join merges the pairs of
-two partitions, and a principal congruence Cg(a, b) merges (a, b) and then
-the images of each merged pair under the basic translations, precomputed
-once per algebra.  Generation computes Cg(a, b) for every a < b in order and
-keeps each result, so a later run merges a pair whose principal congruence
-is already known block by block instead of queueing its translations.  A
-worklist then joins each new congruence with the distinct principal
-congruences only, since every congruence is a join of principal ones, and
-stops with ``BudgetExceeded`` past ``MAX_CONGRUENCES``.  An exhaustive
-partition scan doubles as a secondary oracle under a size guard.
+One union-find, ``_close``, serves every closure: a join starts from one
+partition and merges the pairs of the other, and a principal congruence
+Cg(a, b) merges (a, b) and then the images of each merged pair under the
+basic translations, precomputed once per algebra.  Generation settles
+Cg(a, b) for every a < b in order from the principal congruences already
+known.  The known Cg(c, d) holding (a, b) with the most blocks, or ∇, is a
+bound K with Cg(a, b) ⊆ K; a basic translation t gives Cg(t(a), t(b)) ⊆
+Cg(a, b).  So when a known Cg(t(a), t(b)) has K's block count, Cg(a, b) is
+K and no closure runs; otherwise the closure merges a known pair block by
+block instead of queueing its translations, and stops at K's block count,
+since a partition inside K with as many blocks is K.  A worklist then joins
+each new congruence with the distinct principal congruences only, since
+every congruence is a join of principal ones, and stops with
+``BudgetExceeded`` past ``MAX_CONGRUENCES``.  ``principal_congruence`` runs
+the plain closure, and an exhaustive partition scan doubles as a secondary
+oracle under a size guard.
 
 The lattice order comes from relation bitsets: each congruence is one int
 holding its relation, so refinement is one AND, a meet is the congruence
@@ -23,21 +29,21 @@ the intersection of two up-sets.  Covers come from the up-sets as well, and
 distributivity is decided by the join-prime test on join-irreducibles.
 Permutability is a count of blocks, not a composition (``permutes``).
 
-One table, ``_SCHEMES``, maps each term-scheme report key to the symbols the
-scheme needs and its numbered identities, written as they print; a profile
-lists its keys, and without one every key whose symbols the algebra has is
-checked.
+``verify_term_conditions`` checks the term schemes of the ``schemes`` table,
+which it loads on its first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .algebra import CIRC, JOIN, MEET, ONE, STAR, Algebra
+from .algebra import Algebra
 from .errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
 from .poset import bits
-from .terms import Report, check_formula, parse_formula
+
+if TYPE_CHECKING:
+    from .terms import Report
 
 BRUTE_FORCE_GUARD = 12
 MAX_CONGRUENCES = 1024
@@ -196,31 +202,44 @@ def _close(
     work: list[tuple[int, int]],
     images: Sequence[Sequence[int]] | None = None,
     known: dict[tuple[int, int], tuple[tuple[int, ...], ...]] | None = None,
+    start: Sequence[int] | None = None,
+    floor: int = 1,
 ) -> tuple[int, ...]:
     """The union-find: merge every pair on ``work``; return the rep tuple.
 
-    Each class is labelled by its least element and keeps a member list, so
-    a lookup is one index and a merge relabels the class with the larger
+    It starts from the partition ``start`` (a rep tuple; default Δ).  Each
+    class is labelled by its least element and keeps a member list, so a
+    lookup is one index and a merge relabels the class with the larger
     label.  With ``images`` (see ``_translation_images``) each merge of
     (x, y) queues the distinct translations of the pair, so the result is
     the least congruence holding the work pairs (whatever the pop order).
-    ``known`` maps pairs x < y to the nonsingleton blocks of Cg(x, y); such
-    a merge unites those blocks instead, which is enough because Cg(x, y)
-    is closed under translations and lies inside every congruence relating
-    x and y.
+    ``known`` maps pairs (x, y), both ways round, to the nonsingleton blocks
+    of Cg(x, y); such a merge unites those blocks instead, which is enough
+    because Cg(x, y) is closed under translations and lies inside every
+    congruence relating x and y.
+
+    The run stops once the partition has ``floor`` blocks.  The caller
+    passes the block count of a congruence K known to hold the result: the
+    partition only ever merges pairs of the result, so it lies inside K,
+    and with as few blocks as K it is K.  The default, 1, is ∇'s count.
     """
-    rep = list(range(n))
-    members = [[i] for i in range(n)]
+    rep = list(range(n)) if start is None else list(start)
+    members: list[list[int]] = [[] for _ in range(n)]
+    for e, r in enumerate(rep):
+        members[r].append(e)
+    count = sum(1 for e, r in enumerate(rep) if e == r)  # blocks: one leader each
 
     def union(rx: int, ry: int) -> None:
+        nonlocal count
         if ry < rx:
             rx, ry = ry, rx
         moved = members[ry]
         for e in moved:
             rep[e] = rx
         members[rx] += moved
+        count -= 1
 
-    while work:
+    while work and count > floor:
         x, y = work.pop()
         rx, ry = rep[x], rep[y]
         if rx == ry:
@@ -228,7 +247,7 @@ def _close(
         union(rx, ry)
         if images is None:
             continue
-        blocks = known.get((x, y) if x < y else (y, x)) if known else None
+        blocks = known.get((x, y)) if known else None
         if blocks is None:
             work.extend(set(zip(images[x], images[y])))
             continue
@@ -243,16 +262,25 @@ def principal_congruence(A: Algebra, a: int, b: int) -> Congruence:
     """Least congruence collapsing (a, b): one ``_close`` run from the pair,
     each merge queueing the merged pair's images under every basic
     translation (``_translation_images``) until a fixpoint.  Generation
-    calls ``_close`` itself, with its memo of known principal congruences."""
+    calls ``_close`` itself, with the principal congruences already known."""
     return Congruence(_close(A.n, [(a, b)], _translation_images(A)))
 
 
+def _same_carrier(c1: Congruence, c2: Congruence) -> None:
+    if c1.n != c2.n:
+        raise BadPartition(f"partitions of {c1.n} and {c2.n} elements")
+
+
 def join2(c1: Congruence, c2: Congruence) -> Congruence:
-    """Join = transitive closure of the union (itself a congruence)."""
-    return Congruence(_close(c1.n, [*enumerate(c1.rep), *enumerate(c2.rep)]))
+    """Join = transitive closure of the union (itself a congruence): c1's
+    partition with each element of c2 merged into its c2 leader."""
+    _same_carrier(c1, c2)
+    pairs = [(e, r) for e, r in enumerate(c2.rep) if e != r]
+    return Congruence(_close(c1.n, pairs, start=c1.rep))
 
 
 def meet2(c1: Congruence, c2: Congruence) -> Congruence:
+    _same_carrier(c1, c2)
     return Congruence(_canonical_rep([(c1.rep[i], c2.rep[i]) for i in range(c1.n)]))
 
 
@@ -286,28 +314,51 @@ class CongruenceLattice:
 def _generate_congruences(A: Algebra) -> list[Congruence]:
     """Every congruence of A, sorted by ``rep``.
 
-    Cg(a, b) is computed for a < b in order, each by one ``_close`` run that
-    reuses the principal congruences already known.  Every congruence is a
-    join of principal ones (R. Freese, "Computing congruences efficiently",
-    2008), so a worklist joins each new congruence with each distinct
-    principal congruence it does not already contain.  Raises
-    ``BudgetExceeded`` as soon as more than ``MAX_CONGRUENCES`` are found.
+    Cg(a, b) is settled for a < b in order from the principal congruences
+    already known (R. Freese, "Computing congruences efficiently", 2008).
+    Take the bound K: the known Cg(c, d) holding (a, b) with the most
+    blocks, else ∇; Cg(a, b) lies inside it.  A basic translation t gives
+    Cg(t(a), t(b)) ⊆ Cg(a, b), so when a known Cg(t(a), t(b)) has as many
+    blocks as K, the two bounds meet and Cg(a, b) is that congruence, with
+    no closure run.  Otherwise one ``_close`` run reuses the known
+    principal congruences and stops as soon as it has K's block count.
+
+    Every congruence is a join of principal ones, so a worklist joins each
+    new congruence with each distinct principal congruence it does not
+    already contain.  Raises ``BudgetExceeded`` as soon as more than
+    ``MAX_CONGRUENCES`` are found.
     """
     n = A.n
     images = _translation_images(A)
+    # each distinct principal congruence -> its first pair, its block count
+    # and its nonsingleton blocks
+    principals: dict[Congruence, tuple[int, int, int, tuple[tuple[int, ...], ...]]] = {}
+    # pair (x, y), both ways round -> Cg(x, y) and its block count; its
+    # nonsingleton blocks, for _close
+    cg: dict[tuple[int, int], tuple[Congruence, int]] = {}
     known: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-    principals: dict[Congruence, tuple[int, int]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            cg = Congruence(_close(n, [(a, b)], images, known))
-            known[a, b] = tuple(block for block in cg.blocks() if len(block) > 1)
-            principals.setdefault(cg, (a, b))
+            # K's block count; a known Cg(t(a), t(b)) with as many blocks is K
+            floor = max(
+                (k for p, (_, _, k, _) in principals.items() if p.rep[a] == p.rep[b]), default=1
+            )
+            c = next(
+                (cg[t][0] for t in zip(images[a], images[b]) if t in cg and cg[t][1] == floor), None
+            )
+            if c is None:
+                c = Congruence(_close(n, [(a, b)], images, known, floor=floor))
+            if c not in principals:
+                principals[c] = (a, b, c.num_blocks, tuple(bl for bl in c.blocks() if len(bl) > 1))
+            _, _, k, blocks = principals[c]
+            cg[a, b] = cg[b, a] = (c, k)
+            known[a, b] = known[b, a] = blocks
     found = {Congruence.identity(n), *principals}
     _check_budget(len(found), n)
     work = list(principals)
     while work:
         c = work.pop()
-        for p, (a, b) in principals.items():
+        for p, (a, b, _, _) in principals.items():
             if c.rep[a] == c.rep[b]:  # Cg(a, b) is already below c
                 continue
             j = join2(c, p)
@@ -458,63 +509,6 @@ def congruence_properties(
 # -- term schemes ------------------------------------------------------------------
 
 
-def _numbered(*texts: str) -> tuple:
-    """Each identity, parsed, under the name ``"<number>: <text>"``."""
-    return tuple((f"{k}: {text}", parse_formula(text)) for k, text in enumerate(texts, 1))
-
-
-# report key -> (the symbols the scheme needs, its numbered identities), in
-# the order ``con --terms`` prints the schemes; each weak_regularity scheme is
-# a two-step chain witnessing weak regularity with respect to the constant 1
-_SCHEMES = {
-    "majority": (
-        ((JOIN, 2), (MEET, 2)),
-        _numbered(
-            "∀x,y: ((x⊔x)⊓(x⊔y))⊓(y⊔x) = x",
-            "∀x,y: ((x⊔y)⊓(y⊔x))⊓(x⊔x) = x",
-            "∀x,y: ((y⊔x)⊓(x⊔x))⊓(x⊔y) = x",
-        ),
-    ),
-    "maltsev(*)": (
-        ((STAR, 2), (MEET, 2)),
-        _numbered("∀x,y: ((x*x)*y)⊓((y*x)*x) = y", "∀x,y: ((y*x)*x)⊓((x*x)*y) = y"),
-    ),
-    "weak_regularity(*)": (
-        ((STAR, 2), (MEET, 2), (ONE, 0)),
-        _numbered(
-            "∀x: x*x = 1",
-            "∀x: x*x = 1",
-            "∀x,y: ((x*y)*y)⊓x = x",
-            "∀x,y: (1*y)⊓x = (1*x)⊓y",
-            "∀x,y: ((y*x)*x)⊓y = y",
-        ),
-    ),
-    "maltsev(∘)": (
-        ((CIRC, 2), (MEET, 2)),
-        _numbered("∀x,y: ((x∘x)∘y)⊓((y∘x)∘x) = y", "∀x,y: ((y∘x)∘x)⊓((x∘x)∘y) = y"),
-    ),
-    "weak_regularity(∘)": (
-        ((CIRC, 2), (MEET, 2), (ONE, 0)),
-        _numbered(
-            "∀x: x∘x = 1",
-            "∀x: x∘x = 1",
-            "∀x,y: ((x∘y)∘y)⊓x = x",
-            "∀x,y: (1∘y)⊓x = (1∘x)⊓y",
-            "∀x,y: ((y∘x)∘x)⊓y = y",
-        ),
-    ),
-}
-
-_PROFILE_SCHEMES: dict[str, tuple[str, ...]] = {
-    "pc": (),
-    "stone": ("majority",),
-    "spc": ("majority",),
-    "spc1": ("majority",),
-    "sspc": ("majority", "maltsev(∘)", "weak_regularity(∘)"),
-    "rpc": ("maltsev(*)", "weak_regularity(*)"),
-}
-
-
 def verify_term_conditions(
     A: Algebra, profile: str | None = None
 ) -> dict[str, dict[str, Report]]:
@@ -522,7 +516,11 @@ def verify_term_conditions(
 
     With a profile the scheme set is the one its theory supports; without
     one, every scheme whose symbols the algebra's signature has is tried.
+    The scheme tables (``schemes``) and the checker load on the first call.
     """
+    from .schemes import _PROFILE_SCHEMES, _SCHEMES
+    from .terms import check_formula
+
     if profile is None:
         keys = [k for k, (needs, _) in _SCHEMES.items() if all(A.signature.has(*s) for s in needs)]
     else:

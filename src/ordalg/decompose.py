@@ -22,7 +22,6 @@ from .congruence import (
     meet2,
     permutes,
 )
-from .enumeration import refine_colours
 from .errors import NotACongruence, SignatureMismatch, SizeGuardExceeded
 
 ISO_GUARD = 12
@@ -96,12 +95,21 @@ def factor_pairs(A: Algebra, lattice: CongruenceLattice | None = None) -> tuple[
 
     Each pair is reported once, oriented finer first: Θ has more blocks than
     Φ, or as many blocks and the smaller ``rep``.  The trivial pair is (Δ, ∇).
+
+    The lattice tables already give every join and meet, so a pair is
+    skipped unless they read join ∇ and meet Δ; a :class:`FactorPair` is
+    built only for the pairs left, and its constructor still checks all
+    three conditions, permutability included.
     """
     lat = lattice or congruence_lattice(A)
     cons = lat.congruences
+    top = cons.index(Congruence.total(A.n))
+    bottom = cons.index(Congruence.identity(A.n))
     out = []
     for i in range(len(cons)):
         for j in range(i, len(cons)):
+            if lat.join_table[i][j] != top or lat.meet_table[i][j] != bottom:
+                continue
             t, p = cons[i], cons[j]
             if (-p.num_blocks, p.rep) < (-t.num_blocks, t.rep):
                 t, p = p, t
@@ -170,6 +178,8 @@ def decompose(A: Algebra, guard: int = ISO_GUARD) -> Decomposition:
 def _refine_colors(A1: Algebra, A2: Algebra) -> tuple[list[int], list[int]]:
     """Colour refinement of the disjoint union of A1 and A2; equal colours
     are necessary for iso images."""
+    from .enumeration import refine_colours
+
     n1 = A1.n
 
     def initial(A: Algebra):

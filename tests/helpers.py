@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 
 from ordalg import Poset, build_poset
 from ordalg.algebra import JOIN, MEET, Algebra, canonical_choice, table_from_choice
-from ordalg.congruence import Congruence, all_congruences_bruteforce, join2, meet2
+from ordalg.congruence import (
+    Congruence,
+    all_congruences_bruteforce,
+    join2,
+    meet2,
+    principal_congruence,
+)
+from ordalg.decompose import FactorPair
 from ordalg.enumeration import default_labels
 from ordalg.poset import (
     _DUAL_EQ,
@@ -381,6 +388,49 @@ def transitive_closure(r) -> frozenset[tuple[int, int]]:
         if wider == r:
             return r
         r = wider
+
+
+def plain_join(c1: Congruence, c2: Congruence) -> Congruence:
+    """c1 ∨ c2 from scratch: every element takes the least label of its
+    neighbours under either partition until no label drops."""
+    label = list(range(c1.n))
+    changed = True
+    while changed:
+        changed = False
+        for a in range(c1.n):
+            least = min(label[a], label[c1.rep[a]], label[c2.rep[a]])
+            for b in (a, c1.rep[a], c2.rep[a]):
+                if label[b] > least:
+                    label[b] = least
+                    changed = True
+    return Congruence(tuple(label))
+
+
+def principal_join_closure(A: Algebra) -> tuple[Congruence, ...]:
+    """Every congruence, sorted by ``rep``: ``principal_congruence`` for every
+    pair, closed under ``plain_join``."""
+    principals = {principal_congruence(A, a, b) for a in range(A.n) for b in range(a, A.n)}
+    found = set(principals)
+    frontier = list(principals)
+    while frontier:
+        joins = {plain_join(c, p) for c in frontier for p in principals}
+        frontier = list(joins - found)
+        found |= joins
+    return tuple(sorted(found, key=lambda c: c.rep))
+
+
+def factor_pair_scan(cons) -> tuple[FactorPair, ...]:
+    """Every pair i <= j of ``cons``, oriented finer first, that the
+    :class:`FactorPair` constructor accepts."""
+    out = []
+    for i, t in enumerate(cons):
+        for p in cons[i:]:
+            a, b = sorted((t, p), key=lambda c: (-c.num_blocks, c.rep))
+            try:
+                out.append(FactorPair(a, b))
+            except ValueError:
+                pass
+    return tuple(out)
 
 
 def congruence_census_oracle(A: Algebra) -> tuple[bool, bool]:

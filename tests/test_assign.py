@@ -31,7 +31,7 @@ from ordalg import (
     verify_assigned_conditions,
     verify_derived_identities,
 )
-from ordalg import congruence, pc
+from ordalg import pc, schemes
 from ordalg.algebra import JOIN, MEET, ONE, STAR, ZERO
 from ordalg.assign import ChoiceSpace, _constant_values, _sample_indices, enumerate_assignments
 from ordalg.errors import (
@@ -233,7 +233,7 @@ _PROFILE_FIXTURE = {"pc": "fig1", "rpc": "fig1", "stone": "fig2",
 
 
 def test_profile_names_agree():
-    assert set(_PROFILE_FIXTURE) == set(PROFILES) == set(congruence._PROFILE_SCHEMES)
+    assert set(_PROFILE_FIXTURE) == set(PROFILES) == set(schemes._PROFILE_SCHEMES)
 
 
 @pytest.mark.parametrize("name", list(PROFILES))

@@ -79,6 +79,14 @@ def test_wrong_carrier_rejected(two_chain_star):
             quotient(two_chain_star, theta)
 
 
+@pytest.mark.parametrize("op", [join2, meet2])
+def test_join_and_meet_reject_different_carriers(op):
+    c4, c3 = Congruence((0, 0, 2, 3)), Congruence((0, 1, 1))
+    for c1, c2 in ((c4, c3), (c3, c4)):
+        with pytest.raises(BadPartition, match="partitions of"):
+            op(c1, c2)
+
+
 def test_principal_reflexive(two_chain_star):
     assert principal_congruence(two_chain_star, 1, 1) == Congruence.identity(2)
 

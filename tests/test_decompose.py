@@ -5,9 +5,12 @@ from hypothesis import given, settings
 
 from helpers import (
     algebras,
+    bounded_posets,
     entry,
+    factor_pair_scan,
     lambda_algebra,
     meet_directoid,
+    principal_join_closure,
     relation,
     relations_permute,
     transitive_closure,
@@ -274,3 +277,38 @@ def test_factor_pairs_match_relations(A):
             except ValueError:
                 accepted = False
             assert accepted == expected
+
+
+# -- generation against the plain routes, where known congruences settle most pairs ----
+
+
+def _power(A, k):
+    out = A
+    for _ in range(k - 1):
+        out = direct_product(out, A)
+    return out
+
+
+def assert_generation_matches_plain_routes(A):
+    lat = congruence_lattice(A)
+    assert lat.congruences == principal_join_closure(A)
+    assert factor_pairs(A, lat) == factor_pair_scan(lat.congruences)
+
+
+@pytest.mark.parametrize("name", ["fig1_rpc_sq", "bool4_pc", "bool5_pc"])
+def test_generation_matches_plain_routes_on_products(figs, two_chain, name):
+    C2_pc = assign_algebra(two_chain, "pc")
+    A = {
+        "fig1_rpc_sq": lambda: _power(figs.algebras["fig1_rpc"], 2),
+        "bool4_pc": lambda: _power(C2_pc, 4),
+        "bool5_pc": lambda: _power(C2_pc, 5),
+    }[name]()
+    assert_generation_matches_plain_routes(A)
+
+
+@given(bounded_posets(max_inner=3), bounded_posets(max_inner=3))
+@settings(max_examples=40, deadline=None)
+def test_generation_matches_plain_routes_on_random_products(P1, P2):
+    # bounded posets of at most 5 elements are lattices, which are congruence
+    # distributive, so the product has at most 16 x 16 congruences
+    assert_generation_matches_plain_routes(direct_product(lambda_algebra(P1), lambda_algebra(P2)))

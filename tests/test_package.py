@@ -105,21 +105,26 @@ _RUN = (
 )
 
 _COMMANDS = {
-    "fixtures": (["fixtures", "--json"], "assign pc terms congruence decompose search enumeration"),
-    "fixtures-text": (["fixtures"], "assign pc terms congruence decompose search enumeration"),
+    "fixtures": (["fixtures", "--json"],
+                 "assign pc terms congruence schemes decompose search enumeration"),
+    "fixtures-text": (["fixtures"], "assign pc terms congruence schemes decompose search enumeration"),
     "check": (["check", "{corpus}", "--class", "stone"],
-              "assign terms congruence decompose search enumeration"),
+              "assign terms congruence schemes decompose search enumeration"),
     "con": (["con", "{corpus}", "--name", "fig1_rpc", "--props", "--terms"],
             "assign pc decompose search enumeration"),
-    "decompose": (["decompose", "{corpus}", "--name", "fig4_spc"], "assign pc search"),
+    "con-props": (["con", "{corpus}", "--name", "fig1_rpc", "--props"],
+                  "assign pc terms schemes decompose search enumeration"),
+    "decompose": (["decompose", "{corpus}", "--name", "fig4_spc"],
+                  "assign pc terms schemes search enumeration"),
     "product": (["product", "{corpus}", "{corpus}", "--name1", "fig4_spc", "--name2", "fig4_spc"],
-                "assign pc search"),
-    "search": (["search", "--n", "1..3", "--where", "pc"], "assign terms congruence decompose"),
+                "assign pc terms schemes search enumeration"),
+    "search": (["search", "--n", "1..3", "--where", "pc"], "assign terms congruence schemes decompose"),
     "search-random": (["search", "--n", "4..5", "--where", "pc", "--random", "5"],
-                      "assign terms congruence decompose"),
-    "audit": (["audit", "{fig1}", "--profile", "rpc"], "congruence decompose search enumeration"),
+                      "assign terms congruence schemes decompose"),
+    "audit": (["audit", "{fig1}", "--profile", "rpc"],
+              "congruence schemes decompose search enumeration"),
     "assign": (["assign", "{fig1}", "--profile", "rpc", "--verify"],
-               "congruence decompose search enumeration"),
+               "congruence schemes decompose search enumeration"),
 }
 
 

@@ -17,7 +17,6 @@ from ordalg.assign import (
     derived_identities_for,
     enumerate_choices,
 )
-from ordalg.congruence import _SCHEMES
 from ordalg.enumeration import all_posets
 from ordalg.errors import (
     ArityMismatch,
@@ -26,6 +25,7 @@ from ordalg.errors import (
     UnboundVariable,
     UnknownSymbol,
 )
+from ordalg.schemes import _SCHEMES
 from ordalg.terms import (
     App,
     Const,
