@@ -15,9 +15,12 @@ bound K with Cg(a, b) ⊆ K; a basic translation t gives Cg(t(a), t(b)) ⊆
 Cg(a, b).  So when a known Cg(t(a), t(b)) has K's block count, Cg(a, b) is
 K and no closure runs; otherwise the closure merges a known pair block by
 block instead of queueing its translations, and stops at K's block count,
-since a partition inside K with as many blocks is K.  A worklist then joins
-each new congruence with the distinct principal congruences only, since
-every congruence is a join of principal ones, and stops with
+since a partition inside K with as many blocks is K.  A principal
+congruence is join-irreducible iff the principal congruences strictly below
+it (one AND of relation bitsets) join to less than it.  A worklist then
+joins each new congruence with the join-irreducible ones only: every
+join-irreducible congruence is principal and every congruence is a join of
+join-irreducibles, so a join-reducible one adds nothing.  It stops with
 ``BudgetExceeded`` past ``MAX_CONGRUENCES``.  ``principal_congruence`` runs
 the plain closure, and an exhaustive partition scan doubles as a secondary
 oracle under a size guard.
@@ -311,8 +314,8 @@ class CongruenceLattice:
         return len(self.congruences)
 
 
-def _generate_congruences(A: Algebra) -> list[Congruence]:
-    """Every congruence of A, sorted by ``rep``.
+def _principal_congruences(A: Algebra) -> dict[Congruence, tuple[int, int]]:
+    """Each distinct principal congruence of A -> its first pair a < b.
 
     Cg(a, b) is settled for a < b in order from the principal congruences
     already known (R. Freese, "Computing congruences efficiently", 2008).
@@ -322,11 +325,6 @@ def _generate_congruences(A: Algebra) -> list[Congruence]:
     blocks as K, the two bounds meet and Cg(a, b) is that congruence, with
     no closure run.  Otherwise one ``_close`` run reuses the known
     principal congruences and stops as soon as it has K's block count.
-
-    Every congruence is a join of principal ones, so a worklist joins each
-    new congruence with each distinct principal congruence it does not
-    already contain.  Raises ``BudgetExceeded`` as soon as more than
-    ``MAX_CONGRUENCES`` are found.
     """
     n = A.n
     images = _translation_images(A)
@@ -353,12 +351,61 @@ def _generate_congruences(A: Algebra) -> list[Congruence]:
             _, _, k, blocks = principals[c]
             cg[a, b] = cg[b, a] = (c, k)
             known[a, b] = known[b, a] = blocks
+    return {c: (a, b) for c, (a, b, _, _) in principals.items()}
+
+
+def _relation_mask(c: Congruence) -> int:
+    """c's relation as one int: the block of element a at bits n·a .. n·a + n - 1."""
+    return sum(block << (c.n * a) for a, block in enumerate(c.block_masks()))
+
+
+def _join_irreducibles(
+    principals: dict[Congruence, tuple[int, int]],
+) -> list[tuple[Congruence, int, int]]:
+    """The join-irreducible ones among ``principals``, each with its pair.
+
+    p is join-irreducible iff the principal congruences strictly below it
+    join to less than p: every congruence below p is a join of principal
+    ones.  Below-ness is one AND of relation bitsets (``_relation_mask``),
+    and that join is one ``_close`` run over their pairs, which stops at
+    p's block count, since a partition inside p with as many blocks is p.
+    """
+    masks = {p: _relation_mask(p) for p in principals}
+    out = []
+    for p, (a, b) in principals.items():
+        mp = masks[p]
+        below = [
+            (e, r)
+            for q, mq in masks.items()
+            if mq != mp and not mq & ~mp
+            for e, r in enumerate(q.rep)
+            if e != r
+        ]
+        if _close(p.n, below, floor=p.num_blocks) != p.rep:
+            out.append((p, a, b))
+    return out
+
+
+def _generate_congruences(A: Algebra) -> list[Congruence]:
+    """Every congruence of A, sorted by ``rep``.
+
+    Every join-irreducible congruence is principal, since it is the join of
+    the principal congruences of its pairs, and every congruence is a join
+    of join-irreducible ones.  So from Δ and the principal congruences
+    (``_principal_congruences``), a worklist joins each new congruence with
+    each join-irreducible principal congruence (``_join_irreducibles``) it
+    does not already contain; a join-reducible one adds nothing.  Raises
+    ``BudgetExceeded`` as soon as more than ``MAX_CONGRUENCES`` are found.
+    """
+    n = A.n
+    principals = _principal_congruences(A)
+    irreducibles = _join_irreducibles(principals)
     found = {Congruence.identity(n), *principals}
     _check_budget(len(found), n)
     work = list(principals)
     while work:
         c = work.pop()
-        for p, (a, b, _, _) in principals.items():
+        for p, a, b in irreducibles:
             if c.rep[a] == c.rep[b]:  # Cg(a, b) is already below c
                 continue
             j = join2(c, p)
@@ -410,23 +457,22 @@ def all_congruences_bruteforce(A: Algebra, guard: int = BRUTE_FORCE_GUARD) -> tu
 def congruence_lattice(A: Algebra) -> CongruenceLattice:
     """All congruences with join/meet tables and the Hasse relation.
 
-    Generation joins principal congruences (see ``_generate_congruences``)
-    and raises ``BudgetExceeded`` once it finds more than ``MAX_CONGRUENCES``.
-    ``all_congruences_bruteforce`` is the independent oracle for the list.
+    Generation joins the join-irreducible principal congruences (see
+    ``_generate_congruences``) and raises ``BudgetExceeded`` once it finds
+    more than ``MAX_CONGRUENCES``.  ``all_congruences_bruteforce`` is the
+    independent oracle for the list.
 
     The order comes from relation bitsets.  Congruence i is held as one int
-    ``mask[i]`` with the block of element a at bits n·a .. n·a + n - 1, so
-    i ≤ j iff ``mask[i] & ~mask[j] == 0``, and ``up[i]`` is the k-bit set of
-    those j.  The meet of i and j is the congruence whose mask is
+    ``mask[i]`` (``_relation_mask``), so i ≤ j iff
+    ``mask[i] & ~mask[j] == 0``, and ``up[i]`` is the k-bit set of those j.
+    The meet of i and j is the congruence whose mask is
     ``mask[i] & mask[j]`` (an intersection of congruences is one); the join
     is the one element whose up-set is ``up[i] & up[j]``.  j covers i iff j
     lies strictly above i and strictly above no m that lies strictly above i.
     """
     cons = _generate_congruences(A)
-    n, k = A.n, len(cons)
-    masks = [
-        sum(block << (n * a) for a, block in enumerate(c.block_masks())) for c in cons
-    ]
+    k = len(cons)
+    masks = [_relation_mask(c) for c in cons]
     by_mask = {m: i for i, m in enumerate(masks)}
     up = [sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj) for mi in masks]
     by_up = {u: i for i, u in enumerate(up)}

@@ -17,7 +17,7 @@ from string import ascii_lowercase
 
 from hypothesis import strategies as st
 
-from ordalg import Poset, build_poset
+from ordalg import Poset, build_poset, direct_product
 from ordalg.algebra import JOIN, MEET, Algebra, canonical_choice, table_from_choice
 from ordalg.congruence import (
     Congruence,
@@ -417,6 +417,14 @@ def principal_join_closure(A: Algebra) -> tuple[Congruence, ...]:
         frontier = list(joins - found)
         found |= joins
     return tuple(sorted(found, key=lambda c: c.rep))
+
+
+def power(A: Algebra, k: int) -> Algebra:
+    """A × A × ... × A, k factors."""
+    out = A
+    for _ in range(k - 1):
+        out = direct_product(out, A)
+    return out
 
 
 def factor_pair_scan(cons) -> tuple[FactorPair, ...]:

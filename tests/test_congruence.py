@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from helpers import (
     lambda_algebra,
     lattice_oracle,
     meet_directoid,
+    power,
     relation,
     relations_permute,
 )
@@ -29,7 +32,14 @@ from ordalg import (
 )
 from ordalg.algebra import MEET, STAR, ZERO
 from ordalg.assign import enumerate_assignments
-from ordalg.congruence import join2, meet2, permutes
+from ordalg import congruence
+from ordalg.congruence import (
+    _join_irreducibles,
+    _principal_congruences,
+    join2,
+    meet2,
+    permutes,
+)
 from ordalg.enumeration import all_posets
 from ordalg.pc import classify
 from ordalg.errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
@@ -215,6 +225,16 @@ def test_term_schemes_missing_symbol():
         verify_term_conditions(A, "stone")
 
 
+def assert_irreducibles_match_hasse(A, lat):
+    """The principal congruences generation joins are the join-irreducibles:
+    the congruences with exactly one lower cover in ``hasse``."""
+    lower_covers = Counter(j for _, j in lat.hasse)
+    expected = {lat.congruences[j] for j, count in lower_covers.items() if count == 1}
+    irreducibles = _join_irreducibles(_principal_congruences(A))
+    assert {p for p, _, _ in irreducibles} == expected
+    return len(irreducibles)
+
+
 @st.composite
 def small_algebras(draw):
     """Algebras on at most 6 elements with any of: a unary operation, a
@@ -238,7 +258,9 @@ def small_algebras(draw):
 @settings(max_examples=150, deadline=None)
 def test_generation_matches_partition_scan(A):
     brute = all_congruences_bruteforce(A)
-    assert congruence_lattice(A).congruences == brute
+    lat = congruence_lattice(A)
+    assert lat.congruences == brute
+    assert_irreducibles_match_hasse(A, lat)
     for a in range(A.n):
         for b in range(a, A.n):
             cg = principal_congruence(A, a, b)
@@ -298,6 +320,35 @@ def test_meet_chain_lattice_is_boolean():
     assert (lat.join_table, lat.meet_table, lat.hasse) == (join_t, meet_t, hasse)
     # the k³ distributive identity (16.7M triples here) is left to the small cases
     assert congruence_properties(A, lattice=lat).distributive
+
+
+@pytest.mark.parametrize("name, k, m", [
+    ("chain9", 256, 8),
+    ("bool5_pc", 32, 5),
+    ("bool5_rpc", 32, 5),
+    ("bool5_sspc", 32, 5),
+])
+def test_generation_joins_only_irreducibles(monkeypatch, name, k, m):
+    # k congruences, m of them join-irreducible: each congruence is joined
+    # with at most the m join-irreducibles, so join2 runs at most k·m times
+    C2 = build_poset(["0", "1"], [("0", "1")])
+    A = {
+        "chain9": lambda: meet_chain(9),
+        "bool5_pc": lambda: power(assign_algebra(C2, "pc"), 5),
+        "bool5_rpc": lambda: power(assign_algebra(C2, "rpc"), 5),
+        "bool5_sspc": lambda: power(assign_algebra(C2, "sspc"), 5),
+    }[name]()
+    calls = 0
+
+    def counting_join2(c1, c2):
+        nonlocal calls
+        calls += 1
+        return join2(c1, c2)
+
+    monkeypatch.setattr(congruence, "join2", counting_join2)
+    lat = congruence_lattice(A)
+    assert len(lat) == k and assert_irreducibles_match_hasse(A, lat) == m
+    assert calls <= k * m
 
 
 def test_congruence_budget(figs):

@@ -10,6 +10,7 @@ from helpers import (
     factor_pair_scan,
     lambda_algebra,
     meet_directoid,
+    power,
     principal_join_closure,
     relation,
     relations_permute,
@@ -282,13 +283,6 @@ def test_factor_pairs_match_relations(A):
 # -- generation against the plain routes, where known congruences settle most pairs ----
 
 
-def _power(A, k):
-    out = A
-    for _ in range(k - 1):
-        out = direct_product(out, A)
-    return out
-
-
 def assert_generation_matches_plain_routes(A):
     lat = congruence_lattice(A)
     assert lat.congruences == principal_join_closure(A)
@@ -299,9 +293,9 @@ def assert_generation_matches_plain_routes(A):
 def test_generation_matches_plain_routes_on_products(figs, two_chain, name):
     C2_pc = assign_algebra(two_chain, "pc")
     A = {
-        "fig1_rpc_sq": lambda: _power(figs.algebras["fig1_rpc"], 2),
-        "bool4_pc": lambda: _power(C2_pc, 4),
-        "bool5_pc": lambda: _power(C2_pc, 5),
+        "fig1_rpc_sq": lambda: power(figs.algebras["fig1_rpc"], 2),
+        "bool4_pc": lambda: power(C2_pc, 4),
+        "bool5_pc": lambda: power(C2_pc, 5),
     }[name]()
     assert_generation_matches_plain_routes(A)
 
