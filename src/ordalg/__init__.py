@@ -75,15 +75,11 @@ _EXPORTS = {
         "check_distributive_pc_equalities",
         "classify",
         "pseudocomplement",
-        "relative_pseudocomplement",
-        "sectional_pseudocomplement",
     ),
     "poset": (
-        "DirectednessReport",
         "DistributivityReport",
         "Poset",
         "build_poset",
-        "directedness",
         "extremes",
         "is_distributive",
         "is_lattice",

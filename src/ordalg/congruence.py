@@ -25,11 +25,11 @@ join-irreducibles, so a join-reducible one adds nothing.  It stops with
 the plain closure, and an exhaustive partition scan doubles as a secondary
 oracle under a size guard.
 
-The lattice order comes from relation bitsets: each congruence is one int
-holding its relation, so refinement is one AND, a meet is the congruence
-with the intersected relation, and a join is the element whose up-set is
-the intersection of two up-sets.  Covers come from the up-sets as well, and
-distributivity is decided by the join-prime test on join-irreducibles.
+Con(A) is held once, as relation bitsets (``CongruenceLattice``): each
+congruence is one int holding its relation, so refinement is one AND, a
+meet is the congruence with the intersected relation, and a join is the
+element whose up-set is the intersection of two up-sets.  Distributivity
+is the join-prime test on the join-irreducibles that generation found.
 Permutability is a count of blocks, not a composition (``permutes``).
 
 ``verify_term_conditions`` checks the term schemes of the ``schemes`` table,
@@ -39,7 +39,7 @@ which it loads on its first call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 
 from .algebra import Algebra
 from .errors import BadPartition, BudgetExceeded, MissingSymbol, SizeGuardExceeded
@@ -303,17 +303,6 @@ def permutes(theta: Congruence, phi: Congruence, join: Congruence, meet: Congrue
     return sum(r * s for r, s in inside.values()) == meet.num_blocks
 
 
-@dataclass(frozen=True)
-class CongruenceLattice:
-    congruences: tuple[Congruence, ...]
-    join_table: tuple[tuple[int, ...], ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    hasse: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.congruences)
-
-
 def _principal_congruences(A: Algebra) -> dict[Congruence, tuple[int, int]]:
     """Each distinct principal congruence of A -> its first pair a < b.
 
@@ -359,6 +348,35 @@ def _relation_mask(c: Congruence) -> int:
     return sum(block << (c.n * a) for a, block in enumerate(c.block_masks()))
 
 
+class CongruenceLattice:
+    """Con(A), sorted by ``rep``, as relation bitsets (``_relation_mask``).
+
+    i ≤ j iff ``mask[i] & ~mask[j] == 0``, and ``up[i]`` is the k-bit set of
+    those j.  ``meet(i, j)`` has mask ``mask[i] & mask[j]`` (an intersection
+    of congruences is one); ``join(i, j)`` is the one element with up-set
+    ``up[i] & up[j]``.  ``irreducible``: the join-irreducibles' indices.
+    """
+
+    __slots__ = ("congruences", "up", "irreducible", "_masks", "_by_mask", "_by_up")
+
+    def __init__(self, congruences: Sequence[Congruence], irreducible: set[Congruence]):
+        self.congruences = tuple(congruences)
+        self.irreducible = tuple(i for i, c in enumerate(self.congruences) if c in irreducible)
+        self._masks = masks = [_relation_mask(c) for c in self.congruences]
+        self.up = tuple(sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj) for mi in masks)
+        self._by_mask = {m: i for i, m in enumerate(masks)}
+        self._by_up = {u: i for i, u in enumerate(self.up)}
+
+    def __len__(self) -> int:
+        return len(self.congruences)
+
+    def join(self, i: int, j: int) -> int:
+        return self._by_up[self.up[i] & self.up[j]]
+
+    def meet(self, i: int, j: int) -> int:
+        return self._by_mask[self._masks[i] & self._masks[j]]
+
+
 def _join_irreducibles(
     principals: dict[Congruence, tuple[int, int]],
 ) -> list[tuple[Congruence, int, int]]:
@@ -386,7 +404,9 @@ def _join_irreducibles(
     return out
 
 
-def _generate_congruences(A: Algebra) -> list[Congruence]:
+def _generate_congruences(
+    A: Algebra, principals: Collection[Congruence], irreducibles: list[tuple[Congruence, int, int]]
+) -> list[Congruence]:
     """Every congruence of A, sorted by ``rep``.
 
     Every join-irreducible congruence is principal, since it is the join of
@@ -398,8 +418,6 @@ def _generate_congruences(A: Algebra) -> list[Congruence]:
     ``BudgetExceeded`` as soon as more than ``MAX_CONGRUENCES`` are found.
     """
     n = A.n
-    principals = _principal_congruences(A)
-    irreducibles = _join_irreducibles(principals)
     found = {Congruence.identity(n), *principals}
     _check_budget(len(found), n)
     work = list(principals)
@@ -455,37 +473,17 @@ def all_congruences_bruteforce(A: Algebra, guard: int = BRUTE_FORCE_GUARD) -> tu
 
 
 def congruence_lattice(A: Algebra) -> CongruenceLattice:
-    """All congruences with join/meet tables and the Hasse relation.
+    """All congruences of A as a :class:`CongruenceLattice`.
 
-    Generation joins the join-irreducible principal congruences (see
-    ``_generate_congruences``) and raises ``BudgetExceeded`` once it finds
-    more than ``MAX_CONGRUENCES``.  ``all_congruences_bruteforce`` is the
-    independent oracle for the list.
-
-    The order comes from relation bitsets.  Congruence i is held as one int
-    ``mask[i]`` (``_relation_mask``), so i ≤ j iff
-    ``mask[i] & ~mask[j] == 0``, and ``up[i]`` is the k-bit set of those j.
-    The meet of i and j is the congruence whose mask is
-    ``mask[i] & mask[j]`` (an intersection of congruences is one); the join
-    is the one element whose up-set is ``up[i] & up[j]``.  j covers i iff j
-    lies strictly above i and strictly above no m that lies strictly above i.
+    Generation joins the join-irreducible principal congruences, which
+    become ``irreducible`` (see ``_generate_congruences``), and raises
+    ``BudgetExceeded`` past ``MAX_CONGRUENCES``.  ``all_congruences_bruteforce``
+    is the independent oracle for the list.
     """
-    cons = _generate_congruences(A)
-    k = len(cons)
-    masks = [_relation_mask(c) for c in cons]
-    by_mask = {m: i for i, m in enumerate(masks)}
-    up = [sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj) for mi in masks]
-    by_up = {u: i for i, u in enumerate(up)}
-    meet_t = tuple(tuple(by_mask[mi & mj] for mj in masks) for mi in masks)
-    join_t = tuple(tuple(by_up[ui & uj] for uj in up) for ui in up)
-    hasse = []
-    for i in range(k):
-        strict = up[i] & ~(1 << i)
-        above_cover = 0
-        for m in bits(strict):
-            above_cover |= up[m] & ~(1 << m)
-        hasse.extend((i, j) for j in bits(strict & ~above_cover))
-    return CongruenceLattice(tuple(cons), join_t, meet_t, tuple(hasse))
+    principals = _principal_congruences(A)
+    irreducibles = _join_irreducibles(principals)
+    cons = _generate_congruences(A, principals, irreducibles)
+    return CongruenceLattice(cons, {p for p, _, _ in irreducibles})
 
 
 # -- congruence properties ---------------------------------------------------------
@@ -508,12 +506,11 @@ def congruence_properties(
     by direct computation on the full congruence lattice.
 
     Distributivity uses the join-prime test: a finite lattice is
-    distributive iff every join-irreducible element (exactly one lower cover
-    in ``hasse``) is join-prime (B. A. Davey and H. A. Priestley,
-    *Introduction to Lattices and Order*, 2nd ed., 2002).  j is join-prime
-    iff the join of all elements not above j is not above j; with up-sets
-    read off ``join_table`` (i ≤ j iff ``join_table[i][j] == j``) that join
-    has up-set ``AND up[x]`` over x not above j, so each j costs O(k).
+    distributive iff every join-irreducible element (``lat.irreducible``) is
+    join-prime (B. A. Davey and H. A. Priestley, *Introduction to Lattices
+    and Order*, 2nd ed., 2002).  j is join-prime iff the join of all
+    elements not above j is not above j; that join has up-set
+    ``AND up[x]`` over x not above j (``lat.up``), so each j costs O(k).
     """
     if A.n > 64:
         raise SizeGuardExceeded("congruence properties guarded at carrier size 64")
@@ -522,15 +519,12 @@ def congruence_properties(
     k = len(cons)
 
     permutable = all(
-        permutes(cons[i], cons[j], cons[lat.join_table[i][j]], cons[lat.meet_table[i][j]])
+        permutes(cons[i], cons[j], cons[lat.join(i, j)], cons[lat.meet(i, j)])
         for i in range(k)
         for j in range(i + 1, k)
     )
 
-    up = [sum(1 << j for j, v in enumerate(row) if v == j) for row in lat.join_table]
-    lower_covers = [0] * k
-    for _, j in lat.hasse:
-        lower_covers[j] += 1
+    up = lat.up
     everything = (1 << k) - 1
 
     def join_prime(j: int) -> bool:
@@ -539,7 +533,7 @@ def congruence_properties(
             common &= up[x]
         return bool(common & ~up[j])
 
-    distributive = all(join_prime(j) for j in range(k) if lower_covers[j] == 1)
+    distributive = all(join_prime(j) for j in lat.irreducible)
 
     weakly_regular: bool | None = None
     if unit_constant is not None:

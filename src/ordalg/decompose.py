@@ -96,10 +96,11 @@ def factor_pairs(A: Algebra, lattice: CongruenceLattice | None = None) -> tuple[
     Each pair is reported once, oriented finer first: Θ has more blocks than
     Φ, or as many blocks and the smaller ``rep``.  The trivial pair is (Δ, ∇).
 
-    The lattice tables already give every join and meet, so a pair is
-    skipped unless they read join ∇ and meet Δ; a :class:`FactorPair` is
-    built only for the pairs left, and its constructor still checks all
-    three conditions, permutability included.
+    The lattice gives every join and meet by one lookup
+    (``CongruenceLattice.join`` and ``meet``), so a pair is skipped unless
+    they read join ∇ and meet Δ; a :class:`FactorPair` is built only for the
+    pairs left, and its constructor still checks all three conditions,
+    permutability included.
     """
     lat = lattice or congruence_lattice(A)
     cons = lat.congruences
@@ -108,7 +109,7 @@ def factor_pairs(A: Algebra, lattice: CongruenceLattice | None = None) -> tuple[
     out = []
     for i in range(len(cons)):
         for j in range(i, len(cons)):
-            if lat.join_table[i][j] != top or lat.meet_table[i][j] != bottom:
+            if lat.join(i, j) != top or lat.meet(i, j) != bottom:
                 continue
             t, p = cons[i], cons[j]
             if (-p.num_blocks, p.rep) < (-t.num_blocks, t.rep):

@@ -162,17 +162,6 @@ def pseudocomplement(P: Poset, x: int) -> int | None:
     return P.maximum_of(_pc_candidates(P, x, bottom))
 
 
-def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """The greatest z with L(x,z) ⊆ L(y)."""
-    return P.maximum_of(_rpc_candidates(P, x, y))
-
-
-def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """The greatest z with L(U(x,y),z) = L(y); x itself on an absent diagonal."""
-    z = P.maximum_of(_spc_scanner(P)(x, y))
-    return x if z is None and x == y else z
-
-
 def best_effort_table(P: Poset, kind: str) -> tuple | None:
     """The table of the class's operation with absent entries filled in.
 

@@ -43,13 +43,6 @@ def closure_rows(rows: list[int], n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class DirectednessReport:
-    kind: str  # "down" | "up" | "both" | "neither"
-    down_witness: tuple[int, int] | None
-    up_witness: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
 class DistributivityReport:
     holds: bool
     witness: tuple[int, int, int] | None = None
@@ -262,26 +255,6 @@ def build_poset(
         for y in bits(up[x]):
             down[y] |= 1 << x
     return Poset(labels, down)
-
-
-def directedness(P: Poset) -> DirectednessReport:
-    """Classify as down-/up-directed, both, or neither, with failing pairs."""
-    down_w = up_w = None
-    for x in range(P.n):
-        for y in range(x + 1, P.n):
-            if down_w is None and P.down[x] & P.down[y] == 0:
-                down_w = (x, y)
-            if up_w is None and P.up[x] & P.up[y] == 0:
-                up_w = (x, y)
-        if down_w and up_w:
-            break
-    kind = {
-        (False, False): "both",
-        (True, False): "up",
-        (False, True): "down",
-        (True, True): "neither",
-    }[(down_w is not None, up_w is not None)]
-    return DirectednessReport(kind, down_w, up_w)
 
 
 def extremes(P: Poset) -> tuple[int | None, int | None]:

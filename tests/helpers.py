@@ -61,6 +61,15 @@ def raw_upper(P: Poset, elems) -> set[int]:
     return {w for w in range(P.n) if all(P.leq(s, w) for s in elems)}
 
 
+def directedness_oracle(P: Poset) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """The first pair x < y with an empty lower cone, and the first with an
+    empty upper cone, by the pairwise cone scan; None where there is none."""
+    pairs = [(x, y) for x in range(P.n) for y in range(x + 1, P.n)]
+    down = next((p for p in pairs if not raw_lower(P, p)), None)
+    up = next((p for p in pairs if not raw_upper(P, p)), None)
+    return down, up
+
+
 def raw_greatest(P: Poset, members: set[int]) -> int | None:
     for z in members:
         if all(P.leq(w, z) for w in members):

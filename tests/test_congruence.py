@@ -34,8 +34,6 @@ from ordalg.algebra import MEET, STAR, ZERO
 from ordalg.assign import enumerate_assignments
 from ordalg import congruence
 from ordalg.congruence import (
-    _join_irreducibles,
-    _principal_congruences,
     join2,
     meet2,
     permutes,
@@ -225,14 +223,21 @@ def test_term_schemes_missing_symbol():
         verify_term_conditions(A, "stone")
 
 
-def assert_irreducibles_match_hasse(A, lat):
-    """The principal congruences generation joins are the join-irreducibles:
-    the congruences with exactly one lower cover in ``hasse``."""
-    lower_covers = Counter(j for _, j in lat.hasse)
-    expected = {lat.congruences[j] for j, count in lower_covers.items() if count == 1}
-    irreducibles = _join_irreducibles(_principal_congruences(A))
-    assert {p for p, _, _ in irreducibles} == expected
-    return len(irreducibles)
+def assert_irreducibles_match_hasse(lat, hasse=None):
+    """``lat.irreducible``, the principal congruences generation joins, holds
+    exactly the congruences with one lower cover in the oracle's ``hasse``."""
+    if hasse is None:
+        hasse = lattice_oracle(lat.congruences)[2]
+    lower_covers = Counter(j for _, j in hasse)
+    assert sorted(lat.irreducible) == sorted(j for j, count in lower_covers.items() if count == 1)
+    return len(lat.irreducible)
+
+
+def assert_joins_and_meets_match(lat, join_t, meet_t):
+    """``lat.join`` and ``lat.meet`` on every pair against the oracle tables."""
+    k = range(len(lat))
+    assert tuple(tuple(lat.join(i, j) for j in k) for i in k) == join_t
+    assert tuple(tuple(lat.meet(i, j) for j in k) for i in k) == meet_t
 
 
 @st.composite
@@ -260,7 +265,7 @@ def test_generation_matches_partition_scan(A):
     brute = all_congruences_bruteforce(A)
     lat = congruence_lattice(A)
     assert lat.congruences == brute
-    assert_irreducibles_match_hasse(A, lat)
+    assert_irreducibles_match_hasse(lat)
     for a in range(A.n):
         for b in range(a, A.n):
             cg = principal_congruence(A, a, b)
@@ -283,9 +288,8 @@ def test_projection_algebra_has_every_partition():
 def assert_lattice_matches_oracle(A, lat=None):
     lat = lat or congruence_lattice(A)
     join_t, meet_t, hasse = lattice_oracle(lat.congruences)
-    assert lat.join_table == join_t
-    assert lat.meet_table == meet_t
-    assert lat.hasse == hasse
+    assert_joins_and_meets_match(lat, join_t, meet_t)
+    assert_irreducibles_match_hasse(lat, hasse)
     distributive = distributive_oracle(join_t, meet_t)
     assert congruence_properties(A, lattice=lat).distributive == distributive
     return distributive
@@ -295,6 +299,24 @@ def assert_lattice_matches_oracle(A, lat=None):
 @settings(max_examples=150, deadline=None)
 def test_lattice_tables_match_oracle(A):
     assert_lattice_matches_oracle(A)
+
+
+@pytest.mark.parametrize("name", ["fig1_star", "fig1_rpc", "fig4_spc", "fig5_spc"])
+def test_corpus_lattice_matches_oracle(figs, name):
+    assert_lattice_matches_oracle(figs.algebras[name])
+
+
+def test_squared_top_is_join_reducible(figs):
+    # Con(fig1_rpc²) is Δ, the two projection kernels and ∇, their join: ∇
+    # is principal but not join-irreducible, and the square is distributive
+    A = direct_product(figs.algebras["fig1_rpc"], figs.algebras["fig1_rpc"])
+    lat = congruence_lattice(A)
+    top = lat.congruences.index(Congruence.total(A.n))
+    assert len(lat) == 4 and len(lat.irreducible) == 2 and top not in lat.irreducible
+    i, j = lat.irreducible
+    assert lat.join(i, j) == top and lat.congruences[lat.meet(i, j)].is_identity
+    assert assert_lattice_matches_oracle(A, lat)
+    assert congruence_properties(A, lattice=lat).permutable
 
 
 @pytest.mark.parametrize("n, k", [(3, 5), (4, 15)])
@@ -315,9 +337,10 @@ def meet_chain(n):
 def test_meet_chain_lattice_is_boolean():
     A = meet_chain(9)
     lat = congruence_lattice(A)
-    assert len(lat) == 256 and len(lat.hasse) == 8 * 2**7
     join_t, meet_t, hasse = lattice_oracle(lat.congruences)
-    assert (lat.join_table, lat.meet_table, lat.hasse) == (join_t, meet_t, hasse)
+    assert len(lat) == 256 and len(hasse) == 8 * 2**7
+    assert_joins_and_meets_match(lat, join_t, meet_t)
+    assert assert_irreducibles_match_hasse(lat, hasse) == 8  # the atoms
     # the k³ distributive identity (16.7M triples here) is left to the small cases
     assert congruence_properties(A, lattice=lat).distributive
 
@@ -347,8 +370,8 @@ def test_generation_joins_only_irreducibles(monkeypatch, name, k, m):
 
     monkeypatch.setattr(congruence, "join2", counting_join2)
     lat = congruence_lattice(A)
-    assert len(lat) == k and assert_irreducibles_match_hasse(A, lat) == m
     assert calls <= k * m
+    assert len(lat) == k and assert_irreducibles_match_hasse(lat) == m
 
 
 def test_congruence_budget(figs):
@@ -402,7 +425,7 @@ def assert_permutability_matches_relations(A):
     every = True
     for i in range(len(cons)):
         for j in range(i + 1, len(cons)):
-            join, meet = cons[lat.join_table[i][j]], cons[lat.meet_table[i][j]]
+            join, meet = cons[lat.join(i, j)], cons[lat.meet(i, j)]
             expected = relations_permute(rels[i], rels[j])
             assert permutes(cons[i], cons[j], join, meet) == expected
             every = every and expected

@@ -18,8 +18,7 @@ from ordalg.fixtures import FIXTURES_TEXT
 
 SRC = str(Path(ordalg.__file__).resolve().parents[1])
 
-# every name the package exported when it imported all submodules eagerly,
-# under the module that defines it
+# every public name of the package, under the module that defines it
 PUBLIC = {
     "algebra": "CIRC JOIN MEET ONE STAR ZERO Algebra Signature induced_order "
     "PROFILES ChoiceSpace canonical_choice enumerate_choices",
@@ -35,10 +34,8 @@ PUBLIC = {
     "enumeration": "all_posets canonical_key random_poset",
     "errors": "OrdalgError",
     "fixtures": "FIXTURES_TEXT fixtures",
-    "pc": "PcClassification check_distributive_pc_equalities classify "
-    "pseudocomplement relative_pseudocomplement sectional_pseudocomplement",
-    "poset": "DirectednessReport DistributivityReport Poset build_poset directedness "
-    "extremes is_distributive is_lattice",
+    "pc": "PcClassification check_distributive_pc_equalities classify pseudocomplement",
+    "poset": "DistributivityReport Poset build_poset extremes is_distributive is_lattice",
     "search": "SearchSpec parse_predicate search",
     "terms": "App Const Eq Forall Iff Implies Report Var check_formula eval_term "
     "evaluate_at render_formula render_term",

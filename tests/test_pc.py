@@ -12,8 +12,6 @@ from ordalg import (
     extremes,
     is_distributive,
     pseudocomplement,
-    relative_pseudocomplement,
-    sectional_pseudocomplement,
 )
 from ordalg import pc
 from ordalg.errors import NoBottom
@@ -86,11 +84,12 @@ def test_classify_antichain_not_pc():
 def test_rpc_fig1_examples(fig1):
     c, zero = idx(fig1, "c", "0")
     a, b = idx(fig1, "a", "b")
-    assert relative_pseudocomplement(fig1, c, zero) == zero
-    assert relative_pseudocomplement(fig1, a, b) == b
-    assert relative_pseudocomplement(fig1, b, a) == a
+    rpc = classify(fig1, "rpc").table
+    assert rpc[c][zero] == zero
+    assert rpc[a][b] == b
+    assert rpc[b][a] == a
     # (x, x) in a poset with top is the top
-    assert fig1.labels[relative_pseudocomplement(fig1, a, a)] == "1"
+    assert fig1.labels[rpc[a][a]] == "1"
 
 
 def test_rpc_table_matches_fixture(figs, fig1):
@@ -99,7 +98,7 @@ def test_rpc_table_matches_fixture(figs, fig1):
 
 def test_rpc_fig5_absent(fig5):
     b, a = idx(fig5, "b", "a")
-    assert relative_pseudocomplement(fig5, b, a) is None
+    assert fig5.maximum_of(pc._rpc_candidates(fig5, b, a)) is None
     cls = classify(fig5, "relatively_pc")
     assert not cls.holds and (cls.witness["x"], cls.witness["y"]) == (b, a)
     assert labset(fig5, cls.witness["maximal"]) == {"a", "c"}
@@ -108,8 +107,9 @@ def test_rpc_fig5_absent(fig5):
 def test_rpc_implies_pc_at_bottom(fig1):
     zero = fig1.index("0")
     st = classify(fig1, "pc").table
+    rpc = classify(fig1, "rpc").table
     for x in range(fig1.n):
-        assert relative_pseudocomplement(fig1, x, zero) == st[x]
+        assert rpc[x][zero] == st[x]
 
 
 @given(posets(max_n=5))
@@ -118,7 +118,7 @@ def test_rpc_adjointness(P):
     # z <= x*y exactly when L(x,z) ⊆ L(y), whenever x*y exists
     for x in range(P.n):
         for y in range(P.n):
-            v = relative_pseudocomplement(P, x, y)
+            v = P.maximum_of(pc._rpc_candidates(P, x, y))
             if v is None:
                 continue
             for z in range(P.n):
@@ -137,11 +137,12 @@ def test_rpc_implies_distributive_small():
 
 def test_spc_fig5_examples(fig5):
     b, a, c, zero = idx(fig5, "b", "a", "c", "0")
-    assert sectional_pseudocomplement(fig5, b, a) == a
-    assert sectional_pseudocomplement(fig5, a, zero) == c
-    assert sectional_pseudocomplement(fig5, c, zero) == b
+    spc = classify(fig5, "spc").table
+    assert spc[b][a] == a
+    assert spc[a][zero] == c
+    assert spc[c][zero] == b
     one = fig5.index("1")
-    assert all(sectional_pseudocomplement(fig5, x, x) == one for x in range(fig5.n))
+    assert all(spc[x][x] == one for x in range(fig5.n))
 
 
 def test_spc_tables_match_fixtures(figs, fig4, fig5):
@@ -153,9 +154,10 @@ def test_spc_tables_match_fixtures(figs, fig4, fig5):
 
 
 def test_spc_fig4_second_projection(fig4):
+    spc = classify(fig4, "spc").table
     for x in range(4):
         for y in range(4):
-            assert sectional_pseudocomplement(fig4, x, y) == y
+            assert spc[x][y] == y
 
 
 def test_spc_fig4_diagonal_fallback_is_flagged(fig4):
@@ -167,7 +169,7 @@ def test_spc_fig4_diagonal_fallback_is_flagged(fig4):
     spc = _spc_scanner(fig4)
     assert fig4.maximum_of(spc(a, a)) is None
     assert fig4.maximum_of(spc(b, b)) is None
-    assert sectional_pseudocomplement(fig4, a, a) == a
+    assert cls.table[a][a] == a
 
 
 def test_spc_classification_family(fig4, fig5):

@@ -3,12 +3,19 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from helpers import distributivity_oracle, idx, labset, posets, raw_lower, raw_upper
+from helpers import (
+    directedness_oracle,
+    distributivity_oracle,
+    idx,
+    labset,
+    posets,
+    raw_lower,
+    raw_upper,
+)
 from ordalg import (
     Poset,
     all_posets,
     build_poset,
-    directedness,
     extremes,
     is_distributive,
     is_lattice,
@@ -101,23 +108,25 @@ def test_antisymmetry_via_cones(fig5):
         assert both == {x}
 
 
+# a finite poset is down- (up-) directed exactly when it has a bottom (top)
+
+
 def test_directedness_fig1(fig1):
-    assert directedness(fig1).kind == "both"
+    assert directedness_oracle(fig1) == (None, None)
+    assert None not in extremes(fig1)
 
 
 def test_directedness_fig4(fig4):
-    rep = directedness(fig4)
-    assert rep.kind == "neither"
-    assert rep.down_witness == idx(fig4, "a", "b")
-    assert rep.up_witness == idx(fig4, "c", "d")
-    # oracle: the witnessed cones really are empty, by plain loops
-    assert raw_lower(fig4, rep.down_witness) == set()
-    assert raw_upper(fig4, rep.up_witness) == set()
+    down_witness, up_witness = directedness_oracle(fig4)
+    assert down_witness == idx(fig4, "a", "b")
+    assert up_witness == idx(fig4, "c", "d")
+    assert extremes(fig4) == (None, None)
 
 
 def test_directedness_antichain():
     P = build_poset(["a", "b"], [])
-    assert directedness(P).kind == "neither"
+    assert directedness_oracle(P) == ((0, 1), (0, 1))
+    assert extremes(P) == (None, None)
 
 
 def test_extremes(fig1, fig4):

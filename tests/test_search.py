@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from helpers import directedness_oracle
 from ordalg import SearchSpec, build_poset, canonical_key, parse_predicate, search
 from ordalg.enumeration import all_posets, random_poset
 from ordalg.errors import OrdalgError
-from ordalg.poset import MAX_CARRIER, directedness, extremes
+from ordalg.poset import MAX_CARRIER, extremes
 from ordalg.search import EXHAUSTIVE_GUARD, evaluate_predicate
 
 
@@ -75,14 +76,13 @@ def test_search_hits_revalidate(fig5):
 def test_directed_is_bounded():
     # a finite poset is down- (up-) directed exactly when it has a bottom (top)
     directed, bounded = parse_predicate("directed"), parse_predicate("bounded")
-    kinds = {(True, True): "both", (False, True): "up", (True, False): "down",
-             (False, False): "neither"}
     rng = random.Random(2103)
     randoms = [random_poset(rng, rng.randint(1, 12)) for _ in range(500)]
     for P in [P for n in range(1, 8) for P in all_posets(n)] + randoms:
         bottom, top = extremes(P)
         assert evaluate_predicate(directed, P) == evaluate_predicate(bounded, P)
-        assert directedness(P).kind == kinds[(bottom is not None, top is not None)]
+        down_witness, up_witness = directedness_oracle(P)
+        assert (down_witness is None, up_witness is None) == (bottom is not None, top is not None)
 
 
 def test_count_selects_the_walk():

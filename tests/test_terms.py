@@ -253,9 +253,9 @@ def test_parse_rejects_what_render_does_not_print(text):
 @settings(max_examples=40)
 def test_witness_self_falsifying_on_random_directoids(P, salt):
     from hypothesis import assume
-    from ordalg.poset import directedness
+    from ordalg.poset import extremes
 
-    assume(directedness(P).kind in ("down", "both"))
+    assume(extremes(P)[0] is not None)  # down-directed
     # commutativity with a deliberately scrambled table entry
     A = meet_directoid(P)
     t = [list(r) for r in A.table("⊓")]
