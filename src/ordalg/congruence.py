@@ -16,20 +16,21 @@ Cg(a, b).  So when a known Cg(t(a), t(b)) has K's block count, Cg(a, b) is
 K and no closure runs; otherwise the closure merges a known pair block by
 block instead of queueing its translations, and stops at K's block count,
 since a partition inside K with as many blocks is K.  A principal
-congruence is join-irreducible iff the principal congruences strictly below
-it (one AND of relation bitsets) join to less than it.  A worklist then
-joins each new congruence with the join-irreducible ones only: every
-join-irreducible congruence is principal and every congruence is a join of
-join-irreducibles, so a join-reducible one adds nothing.  It stops with
-``BudgetExceeded`` past ``MAX_CONGRUENCES``.  ``principal_congruence`` runs
-the plain closure, and an exhaustive partition scan doubles as a secondary
-oracle under a size guard.
+congruence p is join-irreducible iff the principal congruences strictly
+below it (Cg(c, d) ≤ p iff p relates c and d) join to less than p.  A
+worklist then joins each new congruence with the join-irreducible ones
+only: every join-irreducible congruence is principal and every congruence
+is a join of join-irreducibles, so a join-reducible one adds nothing.  It
+stops with ``BudgetExceeded`` past ``MAX_CONGRUENCES``.
+``principal_congruence`` runs the plain closure, and an exhaustive
+partition scan doubles as a secondary oracle under a size guard.
 
-Con(A) is held once, as relation bitsets (``CongruenceLattice``): each
-congruence is one int holding its relation, so refinement is one AND, a
-meet is the congruence with the intersected relation, and a join is the
-element whose up-set is the intersection of two up-sets.  Distributivity
-is the join-prime test on the join-irreducibles that generation found.
+Con(A) is held once, by its join-irreducibles (``CongruenceLattice``): each
+congruence is named by the bitset of the join-irreducible Cg(a, b) below
+it, read off its rep, so a meet is the element with the intersected set,
+an up-set is the AND of the up-sets of the join-irreducibles below, and a
+join is the element whose up-set is the intersection of two up-sets.
+Distributivity is the join-prime test on the join-irreducibles.
 Permutability is a count of blocks, not a composition (``permutes``).
 
 ``verify_term_conditions`` checks the term schemes of the ``schemes`` table,
@@ -39,6 +40,8 @@ which it loads on its first call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 
 from .algebra import Algebra
@@ -117,13 +120,6 @@ class Congruence:
     def block_of(self, a: int) -> tuple[int, ...]:
         r = self.rep[a]
         return tuple(i for i, s in enumerate(self.rep) if s == r)
-
-    def block_masks(self) -> tuple[int, ...]:
-        """Per element: bitset of its block."""
-        masks: dict[int, int] = {}
-        for i, r in enumerate(self.rep):
-            masks[r] = masks.get(r, 0) | (1 << i)
-        return tuple(masks[r] for r in self.rep)
 
     def refines(self, other: "Congruence") -> bool:
         return all(other.rep[i] == other.rep[self.rep[i]] for i in range(self.n))
@@ -343,28 +339,32 @@ def _principal_congruences(A: Algebra) -> dict[Congruence, tuple[int, int]]:
     return {c: (a, b) for c, (a, b, _, _) in principals.items()}
 
 
-def _relation_mask(c: Congruence) -> int:
-    """c's relation as one int: the block of element a at bits n·a .. n·a + n - 1."""
-    return sum(block << (c.n * a) for a, block in enumerate(c.block_masks()))
-
-
 class CongruenceLattice:
-    """Con(A), sorted by ``rep``, as relation bitsets (``_relation_mask``).
+    """Con(A), sorted by ``rep``, named by its join-irreducibles.
 
-    i ≤ j iff ``mask[i] & ~mask[j] == 0``, and ``up[i]`` is the k-bit set of
-    those j.  ``meet(i, j)`` has mask ``mask[i] & mask[j]`` (an intersection
-    of congruences is one); ``join(i, j)`` is the one element with up-set
-    ``up[i] & up[j]``.  ``irreducible``: the join-irreducibles' indices.
+    ``irreducible`` holds their indices, ascending; the t-th is Cg(a, b) for
+    its pair from ``_join_irreducibles``, so it lies below c iff c relates a
+    and b.  ``below[i]``, the bitset of the t below i, names i, as every
+    element is the join of the join-irreducibles below it (B. A. Davey and
+    H. A. Priestley, 2002).  So ``meet(i, j)`` is the element with set
+    ``below[i] & below[j]``, the k-bit up-set ``up[i]`` is the AND of the
+    t's up-sets over t in ``below[i]``, and ``join(i, j)`` is the element
+    with up-set ``up[i] & up[j]``.
     """
 
-    __slots__ = ("congruences", "up", "irreducible", "_masks", "_by_mask", "_by_up")
+    __slots__ = ("congruences", "irreducible", "below", "up", "_by_below", "_by_up")
 
-    def __init__(self, congruences: Sequence[Congruence], irreducible: set[Congruence]):
-        self.congruences = tuple(congruences)
-        self.irreducible = tuple(i for i, c in enumerate(self.congruences) if c in irreducible)
-        self._masks = masks = [_relation_mask(c) for c in self.congruences]
-        self.up = tuple(sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj) for mi in masks)
-        self._by_mask = {m: i for i, m in enumerate(masks)}
+    def __init__(self, congruences: Sequence[Congruence], irreducibles: Iterable[tuple]):
+        self.congruences = cons = tuple(congruences)
+        index = {c: i for i, c in enumerate(cons)}
+        pairs = sorted((index[p], a, b) for p, a, b in irreducibles)
+        self.irreducible = tuple(i for i, _, _ in pairs)
+        k = len(cons)
+        # per join-irreducible Cg(a, b): its up-set, the congruences relating a and b
+        above = [sum(1 << i for i, c in enumerate(cons) if c.rep[a] == c.rep[b]) for _, a, b in pairs]
+        self.below = tuple(sum(1 << t for t, u in enumerate(above) if u >> i & 1) for i in range(k))
+        self.up = tuple(reduce(and_, (above[t] for t in bits(s)), (1 << k) - 1) for s in self.below)
+        self._by_below = {s: i for i, s in enumerate(self.below)}
         self._by_up = {u: i for i, u in enumerate(self.up)}
 
     def __len__(self) -> int:
@@ -374,7 +374,7 @@ class CongruenceLattice:
         return self._by_up[self.up[i] & self.up[j]]
 
     def meet(self, i: int, j: int) -> int:
-        return self._by_mask[self._masks[i] & self._masks[j]]
+        return self._by_below[self.below[i] & self.below[j]]
 
 
 def _join_irreducibles(
@@ -384,18 +384,16 @@ def _join_irreducibles(
 
     p is join-irreducible iff the principal congruences strictly below it
     join to less than p: every congruence below p is a join of principal
-    ones.  Below-ness is one AND of relation bitsets (``_relation_mask``),
-    and that join is one ``_close`` run over their pairs, which stops at
-    p's block count, since a partition inside p with as many blocks is p.
+    ones.  Cg(c, d) lies below p iff p relates c and d, and that join is
+    one ``_close`` run over their pairs, which stops at p's block count,
+    since a partition inside p with as many blocks is p.
     """
-    masks = {p: _relation_mask(p) for p in principals}
     out = []
     for p, (a, b) in principals.items():
-        mp = masks[p]
         below = [
             (e, r)
-            for q, mq in masks.items()
-            if mq != mp and not mq & ~mp
+            for q, (c, d) in principals.items()
+            if q != p and p.rep[c] == p.rep[d]
             for e, r in enumerate(q.rep)
             if e != r
         ]
@@ -483,7 +481,7 @@ def congruence_lattice(A: Algebra) -> CongruenceLattice:
     principals = _principal_congruences(A)
     irreducibles = _join_irreducibles(principals)
     cons = _generate_congruences(A, principals, irreducibles)
-    return CongruenceLattice(cons, {p for p, _, _ in irreducibles})
+    return CongruenceLattice(cons, irreducibles)
 
 
 # -- congruence properties ---------------------------------------------------------
@@ -528,9 +526,8 @@ def congruence_properties(
     everything = (1 << k) - 1
 
     def join_prime(j: int) -> bool:
-        common = everything  # ends as the up-set of the join of all x not above j
-        for x in bits(everything & ~up[j]):
-            common &= up[x]
+        # the up-set of the join of all x not above j
+        common = reduce(and_, (up[x] for x in bits(everything & ~up[j])), everything)
         return bool(common & ~up[j])
 
     distributive = all(join_prime(j) for j in lat.irreducible)

@@ -17,9 +17,10 @@ indentation are ignored)::
       choice join {x,y}=z              # derive ⊔ dually
 
 A label is nonempty and holds no whitespace, ``<``, ``:``, ``->`` or ``#``;
-a pair item splits at its top-level comma, so ``({a,b},c)`` names the labels
-``{a,b}`` and ``c``.  An algebra's POSET is defined above it, and each
-operation symbol, table cell, row and choice pair is given once.
+pair and choice items split at their top-level comma, so ``({a,b},c)`` and
+``{{a,b},c}=d`` both name the labels ``{a,b}`` and ``c``.  An algebra's
+POSET is defined above it, and each operation symbol, table cell, row and
+choice pair is given once.
 
 Choice lines override the canonical choice on the pairs they name, by the
 rule of :func:`ordalg.assign.assign_algebra` (see the :mod:`ordalg.assign`
@@ -89,32 +90,34 @@ class Document:
         return _the("algebra", self.algebras, name)  # type: ignore[return-value]
 
 
+def _split_top_comma(item: str) -> tuple[str, str]:
+    """The two labels inside a bracketed ``(x,y)`` or ``{x,y}``, split at its
+    first comma outside {} and () nesting; ``ValueError`` if there is none."""
+    depth = 0
+    for i, ch in enumerate(item):
+        depth += (ch in "({") - (ch in ")}")
+        if ch == "," and depth == 1:
+            return item[1:i], item[i + 1 : -1]
+    raise ValueError(f"expected a top-level comma in {item!r}")
+
+
 def choice_item(item: str) -> tuple[str, str, str]:
     """The labels (x, y, z) of a ``{x,y}=z`` choice item; ``ValueError`` if
     it has another form.  The caller checks the labels."""
     body, sep, v = item.partition("=")
     if not sep or not body.startswith("{") or not body.endswith("}"):
         raise ValueError(f"choice item {item!r} is not of the form {{x,y}}=z")
-    a, comma, b = body[1:-1].partition(",")
-    if not comma:
-        raise ValueError(f"choice item {item!r} needs two elements")
-    return a, b, v
+    return (*_split_top_comma(body), v)
 
 
 def _split_pair_item(item: str, lineno: int) -> tuple[str, str]:
-    """Split ``(a,b)`` respecting one level of {} or () nesting inside labels."""
+    """The labels of an ``(x,y)`` pair item."""
     if not (item.startswith("(") and item.endswith(")")):
         raise ParseError(lineno, f"expected (x,y) pair, got {item!r}")
-    body = item[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ParseError(lineno, f"expected a top-level comma in {item!r}")
+    try:
+        return _split_top_comma(item)
+    except ValueError as e:
+        raise ParseError(lineno, str(e)) from e
 
 
 def _lines(text: str) -> Iterator[_Line]:

@@ -46,16 +46,17 @@ Predicate = tuple[tuple[bool, str], ...]  # conjunction of (negated, atom)
 
 
 def parse_predicate(text: str) -> Predicate:
-    """Parse ``atom [and [not] atom]*`` into a conjunction."""
-    tokens = text.replace("(", " ").replace(")", " ").split()
+    """Parse ``atom [and [not] atom]*`` into a conjunction (no grouping)."""
+    if "(" in text or ")" in text:
+        raise OrdalgError(f"parentheses are not part of the predicate grammar: {text!r}")
+    tokens = text.split()
     if not tokens:
         raise OrdalgError("empty predicate")
     conjuncts: list[tuple[bool, str]] = []
-    i = 0
     expect_atom = True
     negated = False
-    while i < len(tokens):
-        tok = tokens[i].lower()
+    for word in tokens:
+        tok = word.lower()
         if tok == "and":
             if expect_atom:
                 raise OrdalgError("misplaced 'and' in predicate")
@@ -77,7 +78,6 @@ def parse_predicate(text: str) -> Predicate:
             conjuncts.append((negated, atom))
             expect_atom = False
             negated = False
-        i += 1
     if expect_atom:
         raise OrdalgError("predicate ends with a dangling operator")
     return tuple(conjuncts)

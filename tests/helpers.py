@@ -223,8 +223,9 @@ def bounded_posets(draw, max_inner: int = 4):
 
 
 def lattice_oracle(cons):
-    """Join and meet tables by ``join2``/``meet2`` on every pair, and the
-    Hasse relation by the plain scan for an element strictly in between."""
+    """Join and meet tables by ``join2``/``meet2`` on every pair, the Hasse
+    relation by the plain scan for an element strictly in between, and the
+    order itself: ``leq[i][j]`` iff ``cons[i].refines(cons[j])``."""
     index = {c: i for i, c in enumerate(cons)}
     k = len(cons)
     join_t = tuple(tuple(index[join2(a, b)] for b in cons) for a in cons)
@@ -238,7 +239,7 @@ def lattice_oracle(cons):
         and leq[i][j]
         and not any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k))
     )
-    return join_t, meet_t, hasse
+    return join_t, meet_t, hasse, leq
 
 
 def distributive_oracle(join_t, meet_t) -> bool:

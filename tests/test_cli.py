@@ -337,6 +337,15 @@ def test_search_rejects_seed_without_random(capsys, argv):
     assert "error: --seed applies only with --random" in captured.err
 
 
+def test_search_rejects_parentheses(capsys):
+    assert run_cli(["search", "--n=1..3", "--where", "not (pc and stone)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: parentheses are not part of the predicate grammar: 'not (pc and stone)'\n"
+    )
+
+
 def test_search_random_seed_defaults_to_0(capsys):
     argv = ["search", "--n=4..6", "--where", "pc", "--random", "20", "--json"]
     assert run_cli(argv) == 0
@@ -359,6 +368,23 @@ def test_choice_override_same_everywhere(fig1, fig1_file, capsys):
     assert run_cli(["assign", fig1_file, "--profile=pc", "--choice", "meet { c, d } = a",
                     "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["algebras"][0]["operations"][0]["table"] == cli
+
+
+def test_choice_names_decompose_labels(corpus, tmp_path, capsys):
+    # the left factor of fig1_rpc², labelled by its blocks as decompose prints them
+    assert run_cli(["product", corpus, corpus, "--name1", "fig1_rpc", "--name2", "fig1_rpc"]) == 0
+    sq = tmp_path / "sq.ord"
+    sq.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run_cli(["decompose", str(sq), "--guard", "64"]) == 0
+    out = tmp_path / "sq.out"
+    out.write_text(capsys.readouterr().out, encoding="utf-8")
+    name = "fig1_rpc_x_fig1_rpc_left_order"
+    P = parse(out.read_text(encoding="utf-8")).posets[name]
+    zero, c, d = (next(lb for lb in P.labels if lb.startswith(f"{{({x},")) for x in "0cd")
+    assert run_cli(["assign", str(out), "--profile=rpc", "--name", name,
+                    "--choice", f"meet {{{c},{d}}}={zero}", "--json"]) == 0
+    table = json.loads(capsys.readouterr().out)["algebras"][0]["operations"][0]["table"]
+    assert table[P.index(c)][P.index(d)] == P.index(zero)
 
 
 def test_fixtures_cli(capsys):

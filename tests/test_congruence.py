@@ -233,6 +233,15 @@ def assert_irreducibles_match_hasse(lat, hasse=None):
     return len(lat.irreducible)
 
 
+def assert_order_matches(lat, leq):
+    """``lat.up`` and ``lat.below`` against the oracle's refinement relation."""
+    k = range(len(lat))
+    assert lat.up == tuple(sum(1 << j for j in k if leq[i][j]) for i in k)
+    assert lat.below == tuple(
+        sum(1 << t for t, j in enumerate(lat.irreducible) if leq[j][i]) for i in k
+    )
+
+
 def assert_joins_and_meets_match(lat, join_t, meet_t):
     """``lat.join`` and ``lat.meet`` on every pair against the oracle tables."""
     k = range(len(lat))
@@ -287,9 +296,10 @@ def test_projection_algebra_has_every_partition():
 
 def assert_lattice_matches_oracle(A, lat=None):
     lat = lat or congruence_lattice(A)
-    join_t, meet_t, hasse = lattice_oracle(lat.congruences)
+    join_t, meet_t, hasse, leq = lattice_oracle(lat.congruences)
     assert_joins_and_meets_match(lat, join_t, meet_t)
     assert_irreducibles_match_hasse(lat, hasse)
+    assert_order_matches(lat, leq)
     distributive = distributive_oracle(join_t, meet_t)
     assert congruence_properties(A, lattice=lat).distributive == distributive
     return distributive
@@ -337,9 +347,10 @@ def meet_chain(n):
 def test_meet_chain_lattice_is_boolean():
     A = meet_chain(9)
     lat = congruence_lattice(A)
-    join_t, meet_t, hasse = lattice_oracle(lat.congruences)
+    join_t, meet_t, hasse, leq = lattice_oracle(lat.congruences)
     assert len(lat) == 256 and len(hasse) == 8 * 2**7
     assert_joins_and_meets_match(lat, join_t, meet_t)
+    assert_order_matches(lat, leq)
     assert assert_irreducibles_match_hasse(lat, hasse) == 8  # the atoms
     # the k³ distributive identity (16.7M triples here) is left to the small cases
     assert congruence_properties(A, lattice=lat).distributive

@@ -68,6 +68,19 @@ def test_parse_choice_builds_meet(fig1):
     assert t[q.index("a")][q.index("b")] == q.index("0")  # canonical default
 
 
+def test_parse_choice_splits_at_top_level_comma():
+    # labels with commas inside braces, as decompose prints them
+    doc = parse(
+        "poset q\n  elements: {0} {a,x} {b,y} {c,(x,y)} {d,z} 1\n"
+        "  order: {0}<{a,x} {0}<{b,y} {a,x}<{c,(x,y)} {a,x}<{d,z} {b,y}<{c,(x,y)}"
+        " {b,y}<{d,z} {c,(x,y)}<1 {d,z}<1\n"
+        "algebra m on q\n  choice meet {{c,(x,y)},{d,z}}={a,x}\n"
+    )
+    q = doc.posets["q"]
+    c, d, a = (q.index(label) for label in ("{c,(x,y)}", "{d,z}", "{a,x}"))
+    assert doc.algebras["m"].table(MEET)[c][d] == a
+
+
 def test_parse_errors_positioned():
     with pytest.raises(ParseError) as e:
         parse("poset p\n  elements: x y\n  order: x<y y<x\n")

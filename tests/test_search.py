@@ -19,6 +19,10 @@ def test_parse_predicate():
         parse_predicate("pc and")
     with pytest.raises(OrdalgError):
         parse_predicate("wibble")
+    # no grouping: a parenthesis is rejected, not dropped
+    for text in ("not (pc and stone)", "(pc", "pc)", "(pc) and stone"):
+        with pytest.raises(OrdalgError, match="parenthes"):
+            parse_predicate(text)
 
 
 def test_predicate_evaluation(fig1):
