@@ -412,24 +412,27 @@ def _generate_congruences(
     of join-irreducible ones.  So from Δ and the principal congruences
     (``_principal_congruences``), a worklist joins each new congruence with
     each join-irreducible principal congruence (``_join_irreducibles``) it
-    does not already contain; a join-reducible one adds nothing.  Raises
+    does not already contain; a join-reducible one adds nothing.  It works
+    on rep tuples: a join is one ``_close`` run from c's rep over the pairs
+    (e, rep[e]) of the join-irreducible, listed once.  Raises
     ``BudgetExceeded`` as soon as more than ``MAX_CONGRUENCES`` are found.
     """
     n = A.n
-    found = {Congruence.identity(n), *principals}
+    joins = [(a, b, [(e, r) for e, r in enumerate(p.rep) if e != r]) for p, a, b in irreducibles]
+    found = {tuple(range(n)), *(c.rep for c in principals)}
     _check_budget(len(found), n)
-    work = list(principals)
+    work = [c.rep for c in principals]
     while work:
         c = work.pop()
-        for p, a, b in irreducibles:
-            if c.rep[a] == c.rep[b]:  # Cg(a, b) is already below c
+        for a, b, pairs in joins:
+            if c[a] == c[b]:  # Cg(a, b) is already below c
                 continue
-            j = join2(c, p)
+            j = _close(n, list(pairs), start=c)  # a fresh list: _close consumes it
             if j not in found:
                 found.add(j)
                 _check_budget(len(found), n)
                 work.append(j)
-    return sorted(found, key=lambda c: c.rep)
+    return [Congruence(rep) for rep in sorted(found)]
 
 
 def _check_budget(count: int, n: int) -> None:

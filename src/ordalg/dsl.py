@@ -16,11 +16,12 @@ indentation are ignored)::
       choice meet {x,y}=z              # derive ⊓ from the assignment rule
       choice join {x,y}=z              # derive ⊔ dually
 
-A label is nonempty and holds no whitespace, ``<``, ``:``, ``->`` or ``#``;
-pair and choice items split at their top-level comma, so ``({a,b},c)`` and
-``{{a,b},c}=d`` both name the labels ``{a,b}`` and ``c``.  An algebra's
-POSET is defined above it, and each operation symbol, table cell, row and
-choice pair is given once.
+A label is nonempty and holds no whitespace, ``<``, ``:``, ``->``, ``#`` or
+``=``; its ``()`` and ``{}`` brackets nest, with every comma inside them, as
+pair and choice items split at their top-level comma: ``({a,b},c)`` and
+``{{a,b},c}=d`` both name the labels ``{a,b}`` and ``c``.  An algebra's POSET
+is defined above it, and each operation symbol, table cell, row and choice
+pair is given once.
 
 Choice lines override the canonical choice on the pairs they name, by the
 rule of :func:`ordalg.assign.assign_algebra` (see the :mod:`ordalg.assign`
@@ -47,7 +48,7 @@ from .algebra import JOIN, MEET, Algebra, _override_choice, table_from_choice
 from .errors import OrdalgError, ParseError
 from .poset import Poset, build_poset
 
-_RESERVED_IN_LABEL = ("<", ":", "->", "#")
+_RESERVED_IN_LABEL = ("<", ":", "->", "#", "=")
 
 # line number, the words before ':' (a directive first), the text after ':'
 _Line = tuple[int, list[str], str]
@@ -56,9 +57,12 @@ _KIND_OF = {MEET: "meet", JOIN: "join"}  # the choice lines that derive each sym
 
 
 def _label_ok(label: str) -> bool:
-    return bool(label) and not any(ch.isspace() for ch in label) and not any(
-        r in label for r in _RESERVED_IN_LABEL
-    )
+    depth = 0
+    for ch in label:
+        depth += (ch in "({") - (ch in ")}")
+        if depth < 0 or ch.isspace() or (ch == "," and depth == 0):
+            return False
+    return bool(label) and depth == 0 and not any(r in label for r in _RESERVED_IN_LABEL)
 
 
 def _check_writable(labels) -> None:
@@ -166,7 +170,7 @@ def _read_poset(doc: Document, header: _Line, lines: Iterator[_Line]) -> _Line |
             elements = tail.split()
             for label in elements:
                 if not _label_ok(label):
-                    raise ParseError(at, f"label {label!r} contains reserved characters")
+                    raise ParseError(at, f"label {label!r} cannot be written in the DSL")
         elif kw == "order":
             for item in tail.split():
                 a, _, b = item.partition("<")

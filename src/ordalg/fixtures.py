@@ -91,8 +91,6 @@ algebra fig5_spc on fig5
   constant 1: 1
 """
 
-FIXTURE_POSETS = ("fig1", "fig2", "fig3", "fig4", "fig5")
-
 
 @lru_cache(maxsize=1)
 def fixtures() -> Document:

@@ -7,13 +7,15 @@ exactly the point where posets differ from lattices — has no entry, and
 classification reports the antichain :meth:`Poset.maximal_of` as the
 witness.
 
-Each of the three derived operations (``*``, the relative ``*`` and ``∘``)
-is computed by one row-major scan over its cells, :func:`_scan`.  The scan
-returns either the whole table or the first absent cell with its maximal
+The three derived operations share one candidate rule, :func:`_candidates`:
+the candidates of (x, y) are the z of a span S whose down-set misses
+M ∖ L(y).  The relative x*y takes M = L(x) and S = P, the pseudocomplement
+is x* = x*0, and the sectional x∘y takes M = L(U(x,y)) and S = ↑y
+(I. Chajda, Acta Sci. Math. (Szeged) 69, 2003).  Each operation is computed
+by one row-major scan over its cells, :func:`_scan`.  The scan returns
+either the whole table or the first absent cell with its maximal
 candidates; :func:`classify` and :func:`best_effort_table` both read it, so
 no cell is computed twice.  A class's table is ``classify(P, kind).table``.
-Every sectional candidate z of (x, y) lies above y, because y is in
-L(U(x,y)), so the sectional scan looks at ↑y only.
 
 Diagonal fallback: on a poset without enough upper structure the sectional
 candidate set {z : z >= x} of a diagonal pair (x, x) can lack a maximum.
@@ -69,44 +71,33 @@ class PcClassification:
 # -- the three derived operations ---------------------------------------------
 
 
-def _pc_candidates(P: Poset, x: int, bottom: int) -> int:
-    """The y with L(x,y) = {0}."""
-    zero = 1 << bottom
-    cand = 0
-    for y in range(P.n):
-        if P.down[x] & P.down[y] == zero:
-            cand |= 1 << y
-    return cand
+def _candidates(P: Poset, op: str) -> Callable[[int, int], int]:
+    """The candidates of a cell (x, y) of ``op``, for the cells of one scan.
 
-
-def _rpc_candidates(P: Poset, x: int, y: int) -> int:
-    """The z with L(x,z) ⊆ L(y)."""
-    cand = 0
-    for z in range(P.n):
-        if P.down[x] & P.down[z] & ~P.down[y] == 0:
-            cand |= 1 << z
-    return cand
-
-
-def _spc_scanner(P: Poset) -> Callable[[int, int], int]:
-    """The z with L(U(x,y),z) = L(y), for the cells of one scan.
-
-    z runs over ↑y only, and L(U(x,y)) is computed once for each mask
-    ↑x ∩ ↑y the scan meets.
+    The forbidden set F = M ∖ L(y) is computed once per cell, and z is a
+    candidate iff L(z) misses F.  A pseudocomplement cell takes the bottom
+    as y.  Every sectional candidate lies in ↑y, as y is in L(U(x,y)); for
+    z in ↑y, L(U(x,y), z) contains L(y), so missing F is exactly
+    L(U(x,y), z) = L(y).  L(U(x,y)) is computed once for each mask ↑x ∩ ↑y
+    the scan meets.
     """
     down, up = P.down, P.up
-    above = [tuple(bits(u)) for u in up]
+    sectional = op == "spc"
+    span = [tuple(bits(u)) for u in up] if sectional else [range(P.n)] * P.n
     lower: dict[int, int] = {}
 
     def cell(x: int, y: int) -> int:
-        m = up[x] & up[y]
-        lu = lower.get(m)
-        if lu is None:
-            lu = lower[m] = P.lower_mask(m)
-        dy = down[y]
+        if sectional:
+            m = up[x] & up[y]
+            lu = lower.get(m)
+            if lu is None:
+                lu = lower[m] = P.lower_mask(m)
+            forbidden = lu & ~down[y]
+        else:
+            forbidden = down[x] & ~down[y]
         cand = 0
-        for z in above[y]:
-            if lu & down[z] == dy:
+        for z in span[y]:
+            if not forbidden & down[z]:
                 cand |= 1 << z
         return cand
 
@@ -119,22 +110,22 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> tuple:
 
     A cell whose candidates have a maximum takes it.  An absent sectional
     diagonal cell (x, x) takes x, and ``fallback`` lists those x.  Any other
-    absent cell ends the scan with that cell and its maximal candidates as
-    the witness; with ``best_effort`` it takes the first maximal candidate
-    instead.  No candidate set is empty: the bottom is a pseudocomplement
-    candidate of every x, and y a relative and a sectional candidate of every
-    (x, y).  A bottomless poset has no pseudocomplement table either way.
+    absent cell ends the scan with that cell (a pseudocomplement cell (x, 0)
+    by its x) and its maximal candidates as the witness; with
+    ``best_effort`` it takes the first maximal candidate instead.  No
+    candidate set is empty: the bottom is a pseudocomplement candidate of
+    every x, and y a relative and a sectional candidate of every (x, y).  A
+    bottomless poset has no pseudocomplement table either way.
     """
     n = P.n
     if op == "pc":
         bottom, _ = extremes(P)
         if bottom is None:
             return None, {"reason": "no bottom element"}, ()
-        cells = [(x,) for x in range(n)]
-        candidates = lambda x: _pc_candidates(P, x, bottom)
+        cells, keys = [(x, bottom) for x in range(n)], "x"  # x* is x*0
     else:
-        cells = product(range(n), repeat=2)
-        candidates = _spc_scanner(P) if op == "spc" else lambda x, y: _rpc_candidates(P, x, y)
+        cells, keys = product(range(n), repeat=2), "xy"
+    candidates = _candidates(P, op)
     entries = []
     fallback = []
     for cell in cells:
@@ -148,7 +139,7 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> tuple:
         elif best_effort:
             entries.append(P.maximal_of(cand)[0])
         else:
-            return None, dict(zip("xy", cell), maximal=P.maximal_of(cand)), ()
+            return None, dict(zip(keys, cell), maximal=P.maximal_of(cand)), ()
     if op == "pc":
         return tuple(entries), None, ()
     return tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)), None, tuple(fallback)
@@ -159,7 +150,7 @@ def pseudocomplement(P: Poset, x: int) -> int | None:
     bottom, _ = extremes(P)
     if bottom is None:
         raise NoBottom("pseudocomplements need a bottom element")
-    return P.maximum_of(_pc_candidates(P, x, bottom))
+    return P.maximum_of(_candidates(P, "pc")(x, bottom))
 
 
 def best_effort_table(P: Poset, kind: str) -> tuple | None:

@@ -74,6 +74,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["a=1", "(x", "x)", "a,b"])
+def test_unnameable_label_exit_code(tmp_path, capsys, label):
+    f = tmp_path / "bad.ord"
+    f.write_text(f"poset p\n  elements: {label} b\n", encoding="utf-8")
+    assert run_cli(["check", str(f), "--class=pc"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line 2: label {label!r}")
+
+
 _MALFORMED = {
     "oversized": "poset p\n  elements: " + " ".join(f"e{i}" for i in range(65)) + "\n",
     "no_labels": "poset p\n  elements:\n",

@@ -201,6 +201,22 @@ def test_roundtrip_random_tables(A):
 
 
 def test_serialize_rejects_bad_labels():
-    P = build_poset(["a:b"], [])
-    with pytest.raises(ValueError):
-        serialize_poset("p", P)
+    for label in ("a:b", "a=1"):
+        with pytest.raises(ValueError):
+            serialize_poset("p", build_poset([label], []))
+
+
+@pytest.mark.parametrize("label", ["a=1", "(x", "x)", "a,b"])
+def test_parse_rejects_labels_no_item_can_name(label):
+    # a choice item splits at its first '=', and pair and choice items at
+    # their top-level comma, so these labels could not be named in an item
+    with pytest.raises(ParseError) as e:
+        parse(f"poset p\n  elements: {label} b\n")
+    assert e.value.line == 2 and repr(label) in e.value.message
+
+
+def test_bracketed_labels_round_trip():
+    # the labels that decompose and product print
+    P = build_poset(["{a,b}", "{(c,0),(c,a)}", "(0,1)"], [("{a,b}", "{(c,0),(c,a)}")])
+    text = serialize_poset("p", P)
+    assert parse(text).posets["p"] == P and serialize(parse(text)) == text

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from helpers import idx, labset, posets, raw_greatest, raw_lower, raw_scan, raw_upper
+from helpers import idx, labset, posets, raw_cells, raw_greatest, raw_lower, raw_scan
 from ordalg import (
     all_posets,
     build_poset,
@@ -15,7 +15,7 @@ from ordalg import (
 )
 from ordalg import pc
 from ordalg.errors import NoBottom
-from ordalg.pc import _spc_scanner, best_effort_table
+from ordalg.pc import _candidates, best_effort_table
 from ordalg.poset import Poset
 
 
@@ -98,7 +98,7 @@ def test_rpc_table_matches_fixture(figs, fig1):
 
 def test_rpc_fig5_absent(fig5):
     b, a = idx(fig5, "b", "a")
-    assert fig5.maximum_of(pc._rpc_candidates(fig5, b, a)) is None
+    assert fig5.maximum_of(_candidates(fig5, "rpc")(b, a)) is None
     cls = classify(fig5, "relatively_pc")
     assert not cls.holds and (cls.witness["x"], cls.witness["y"]) == (b, a)
     assert labset(fig5, cls.witness["maximal"]) == {"a", "c"}
@@ -116,9 +116,10 @@ def test_rpc_implies_pc_at_bottom(fig1):
 @settings(max_examples=60)
 def test_rpc_adjointness(P):
     # z <= x*y exactly when L(x,z) ⊆ L(y), whenever x*y exists
+    rpc = _candidates(P, "rpc")
     for x in range(P.n):
         for y in range(P.n):
-            v = P.maximum_of(pc._rpc_candidates(P, x, y))
+            v = P.maximum_of(rpc(x, y))
             if v is None:
                 continue
             for z in range(P.n):
@@ -149,7 +150,7 @@ def test_spc_tables_match_fixtures(figs, fig4, fig5):
     assert classify(fig5, "spc").table == figs.algebras["fig5_spc"].table("∘")
     assert classify(fig4, "spc").table == figs.algebras["fig4_spc"].table("∘")
     # no fallback fires on fig5 (it has a top)
-    spc = _spc_scanner(fig5)
+    spc = _candidates(fig5, "spc")
     assert all(fig5.maximum_of(spc(x, x)) is not None for x in range(fig5.n))
 
 
@@ -166,7 +167,7 @@ def test_spc_fig4_diagonal_fallback_is_flagged(fig4):
     assert "diagonal fallback" in cls.note
     # without the fallback the two non-maximal diagonal entries are absent
     a, b = idx(fig4, "a", "b")
-    spc = _spc_scanner(fig4)
+    spc = _candidates(fig4, "spc")
     assert fig4.maximum_of(spc(a, a)) is None
     assert fig4.maximum_of(spc(b, b)) is None
     assert cls.table[a][a] == a
@@ -241,31 +242,34 @@ def test_sectional_scan_matches_oracle():
 
 
 def test_classification_is_one_pass(fig1, fig5, monkeypatch):
-    calls = []
-    detail = pc._rpc_candidates
-    monkeypatch.setattr(pc, "_rpc_candidates", lambda P, x, y: calls.append(1) or detail(P, x, y))
-    assert classify(fig1, "rpc").holds and len(calls) == fig1.n**2
-    calls.clear()
-    # the sectional scan, classifying or best-effort: one scanner, each cell
-    # once in row-major order, and one L(U(x,y)) per distinct mask ↑x ∩ ↑y
-    scanner, lower_mask = pc._spc_scanner, Poset.lower_mask
+    # classifying or best-effort: one candidate rule per scan, each cell once
+    # in row-major order (a pseudocomplement cell with the bottom as y), and
+    # one L(U(x,y)) per distinct mask ↑x ∩ ↑y
+    calls, masks = [], []
+    rule, lower_mask = pc._candidates, Poset.lower_mask
 
-    def counted_scanner(P):
-        calls.append("scanner")
-        cell = scanner(P)
+    def counted_rule(P, op):
+        calls.append(op)
+        cell = rule(P, op)
         return lambda x, y: calls.append((x, y)) or cell(x, y)
 
-    masks = []
-    monkeypatch.setattr(pc, "_spc_scanner", counted_scanner)
+    monkeypatch.setattr(pc, "_candidates", counted_rule)
     monkeypatch.setattr(Poset, "lower_mask", lambda P, m: masks.append(m) or lower_mask(P, m))
-    assert classify(fig5, "sspc").holds
-    assert calls == ["scanner", *product(range(fig5.n), repeat=2)]
+    assert classify(fig1, "rpc").holds
+    assert calls == ["rpc", *product(range(fig1.n), repeat=2)] and not masks
+    calls.clear()
+    bottom = extremes(fig1)[0]
+    assert classify(fig1, "pc").holds
+    assert calls == ["pc", *((x, bottom) for x in range(fig1.n))]
+    calls.clear()
     distinct = {fig5.up[x] & fig5.up[y] for x, y in product(range(fig5.n), repeat=2)}
+    assert classify(fig5, "sspc").holds
+    assert calls == ["spc", *product(range(fig5.n), repeat=2)]
     assert sorted(masks) == sorted(distinct)
     calls.clear()
     masks.clear()
     best_effort_table(fig5, "spc")
-    assert calls == ["scanner", *product(range(fig5.n), repeat=2)]
+    assert calls == ["spc", *product(range(fig5.n), repeat=2)]
     assert sorted(masks) == sorted(distinct)
 
 
@@ -276,13 +280,29 @@ def test_candidate_sets_are_never_empty():
     for n in range(1, 8):
         for P in all_posets(n):
             bottom, _ = extremes(P)
-            spc = _spc_scanner(P)
+            star, rpc, spc = (_candidates(P, op) for op in ("pc", "rpc", "spc"))
             for x in range(P.n):
                 if bottom is not None:
-                    assert pc._pc_candidates(P, x, bottom) >> bottom & 1
+                    assert star(x, bottom) >> bottom & 1
                 for y in range(P.n):
-                    assert pc._rpc_candidates(P, x, y) >> y & 1
+                    assert rpc(x, y) >> y & 1
                     assert spc(x, y) >> y & 1
+
+
+def test_candidates_are_the_cone_definitions():
+    # the one rule, cell by cell, against each operation's own definition:
+    # L(x,y) = {0}, L(x,z) ⊆ L(y) and L(U(x,y),z) = L(y)
+    for n in range(1, 7):
+        for P in all_posets(n):
+            bottom, _ = extremes(P)
+            for op in ("pc", "rpc", "spc"):
+                cells = raw_cells(P, op)
+                if cells is None:
+                    continue
+                rule = _candidates(P, op)
+                tail = (bottom,) if op == "pc" else ()
+                for cell, cand in cells:
+                    assert rule(*cell, *tail) == sum(1 << z for z in cand), (op, cell)
 
 
 def test_best_effort_table_is_the_finished_scan():
