@@ -108,6 +108,11 @@ class Congruence:
     def is_total(self) -> bool:
         return all(r == 0 for r in self.rep)
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (e, rep[e]) with e not its own leader: what a join merges."""
+        return tuple((e, r) for e, r in enumerate(self.rep) if e != r)
+
     def related(self, a: int, b: int) -> bool:
         return self.rep[a] == self.rep[b]
 
@@ -274,8 +279,7 @@ def join2(c1: Congruence, c2: Congruence) -> Congruence:
     """Join = transitive closure of the union (itself a congruence): c1's
     partition with each element of c2 merged into its c2 leader."""
     _same_carrier(c1, c2)
-    pairs = [(e, r) for e, r in enumerate(c2.rep) if e != r]
-    return Congruence(_close(c1.n, pairs, start=c1.rep))
+    return Congruence(_close(c1.n, list(c2.pairs), start=c1.rep))
 
 
 def meet2(c1: Congruence, c2: Congruence) -> Congruence:
@@ -391,11 +395,7 @@ def _join_irreducibles(
     out = []
     for p, (a, b) in principals.items():
         below = [
-            (e, r)
-            for q, (c, d) in principals.items()
-            if q != p and p.rep[c] == p.rep[d]
-            for e, r in enumerate(q.rep)
-            if e != r
+            pair for q, (c, d) in principals.items() if q != p and p.rep[c] == p.rep[d] for pair in q.pairs
         ]
         if _close(p.n, below, floor=p.num_blocks) != p.rep:
             out.append((p, a, b))
@@ -413,12 +413,12 @@ def _generate_congruences(
     (``_principal_congruences``), a worklist joins each new congruence with
     each join-irreducible principal congruence (``_join_irreducibles``) it
     does not already contain; a join-reducible one adds nothing.  It works
-    on rep tuples: a join is one ``_close`` run from c's rep over the pairs
-    (e, rep[e]) of the join-irreducible, listed once.  Raises
+    on rep tuples: a join is one ``_close`` run from c's rep over the
+    join-irreducible's ``pairs``, listed once, as ``join2`` does.  Raises
     ``BudgetExceeded`` as soon as more than ``MAX_CONGRUENCES`` are found.
     """
     n = A.n
-    joins = [(a, b, [(e, r) for e, r in enumerate(p.rep) if e != r]) for p, a, b in irreducibles]
+    joins = [(a, b, p.pairs) for p, a, b in irreducibles]
     found = {tuple(range(n)), *(c.rep for c in principals)}
     _check_budget(len(found), n)
     work = [c.rep for c in principals]

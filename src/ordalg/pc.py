@@ -122,9 +122,9 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> tuple:
         bottom, _ = extremes(P)
         if bottom is None:
             return None, {"reason": "no bottom element"}, ()
-        cells, keys = [(x, bottom) for x in range(n)], "x"  # x* is x*0
+        cells = [(x, bottom) for x in range(n)]  # x* is x*0
     else:
-        cells, keys = product(range(n), repeat=2), "xy"
+        cells = product(range(n), repeat=2)
     candidates = _candidates(P, op)
     entries = []
     fallback = []
@@ -139,7 +139,8 @@ def _scan(P: Poset, op: str, best_effort: bool = False) -> tuple:
         elif best_effort:
             entries.append(P.maximal_of(cand)[0])
         else:
-            return None, dict(zip(keys, cell), maximal=P.maximal_of(cand)), ()
+            key = {"x": cell[0]} if op == "pc" else dict(zip("xy", cell))
+            return None, {**key, "maximal": P.maximal_of(cand)}, ()
     if op == "pc":
         return tuple(entries), None, ()
     return tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)), None, tuple(fallback)
